@@ -18,7 +18,7 @@ import time
 from .broker import EdgeBroker
 from .client import SubscriberSession, publish, transparent_publish
 from .config import Config, load_config
-from .errors import BrokerUnreachable, ConfigError, NoSuchTopic, TdmqttError
+from .errors import ConfigError, NoSuchTopic, TdmqttError
 from .evalmodel import (
     ALL_KINDS,
     UnstableQueue,
@@ -26,7 +26,7 @@ from .evalmodel import (
     scenario_broker_mobility,
     scenario_emma_comparison,
 )
-from .master import DiscoveryConfig, MasterBroker, broker_discovery, topic_discovery
+from .master import DiscoveryConfig, MasterBroker, census_sweep
 from .packets import BrokerRef, MalformedFilter, validate_topic
 
 logger = logging.getLogger(__name__)
@@ -175,14 +175,7 @@ def cmd_pub(args, config: Config) -> int:
 
 
 def cmd_discover(args, config: Config) -> int:
-    discovery = _discovery(config)
-    for ref in broker_discovery(discovery):
-        try:
-            topics = topic_discovery(ref, discovery.timeout,
-                                     discovery.listen_window)
-        except BrokerUnreachable as exc:
-            logger.warning("skipping %s: %s", ref, exc)
-            continue
+    for ref, topics in census_sweep(_discovery(config)).items():
         sys.stdout.write(f"{ref}\t{','.join(sorted(topics))}\n")
     return EXIT_OK
 

@@ -214,17 +214,14 @@ class DelayBreakdown:
 def breakdown(p: EvalParams) -> DelayBreakdown:
     """All model outputs; the composite identities hold exactly because
     the composites are built from the very same addends."""
-    td = t_td(p)
-    bd = t_bd(p)
-    tts = t_tts(p)
     return DelayBreakdown(
         message_delays={kind: p.message_time(kind) for kind in ALL_KINDS},
         t_mr=t_mr(p.service_time, p.arrival_rate),
-        t_td=td,
-        t_bd=bd,
-        t_tts=tts,
-        t_change=td + tts,
-        t_broker_change=p.timeout + tts + bd + p.n_brokers * td,
+        t_td=t_td(p),
+        t_bd=t_bd(p),
+        t_tts=t_tts(p),
+        t_change=t_change(p),
+        t_broker_change=t_broker_change(p),
     )
 
 

@@ -2,16 +2,15 @@
 
 The master never carries payload traffic.  It probes an address range for
 listening brokers, enumerates each broker's topics by subscribing to '#'
-and collecting the replayed messages, and keeps the result as an
-immutable registry snapshot.  Clients connect as if it were an ordinary
-broker; the master answers their SUBSCRIBE (or PUBLISH) with a DISCONNECT
-carrying a server reference to the edge broker that actually hosts the
-topic, then hangs up.
+and collecting the replayed messages up to a PINGRESP barrier, and keeps
+the result as an immutable registry snapshot.  Clients connect as if it
+were an ordinary broker; the master answers their SUBSCRIBE (or PUBLISH)
+with a DISCONNECT carrying a server reference to the edge broker that
+actually hosts the topic, then hangs up.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import socket
 import threading
@@ -52,7 +51,7 @@ class DiscoveryConfig:
     addresses: tuple[str, ...]
     broker_port: int = 1883
     timeout: float = 0.25        # per-address TCP probe budget
-    listen_window: float = 0.5   # how long to collect topics per broker
+    listen_window: float = 0.5   # census upper bound per broker
     refresh_period: float = 30.0
 
     def __post_init__(self):
@@ -109,10 +108,20 @@ def topic_discovery(ref: BrokerRef, timeout: float,
                     listen_window: float) -> frozenset[str]:
     """Ask one broker for its topic population.
 
-    Subscribes to '#' and records the topic of every message replayed or
-    routed to us within the listen window.  Raises BrokerUnreachable if
-    the broker refuses, breaks the handshake, or dies mid-census; a
-    DISCONNECT from the broker just ends the census early.
+    Subscribes to '#' with a PINGREQ right behind the SUBSCRIBE and
+    records the topic of every message that arrives before the PINGRESP.
+    An EdgeBroker sends the SUBACK and its whole replay before it reads
+    the next packet, so the PINGRESP marks the end of the replay.  That
+    barrier relies on this broker's packet order: MQTT 5 does not make
+    other brokers deliver retained messages before answering a PINGREQ.
+    listen_window is only the upper bound; when it expires first the
+    census keeps what it has and logs a warning.
+
+    The census connects with an empty client id, so the broker assigns
+    a fresh one and concurrent censuses of one broker never evict each
+    other.  Raises BrokerUnreachable if the broker refuses, breaks the
+    handshake, or dies mid-census; a DISCONNECT from the broker just
+    ends the census early.
     """
     try:
         conn = open_connection(ref.host, ref.port, timeout)
@@ -120,22 +129,23 @@ def topic_discovery(ref: BrokerRef, timeout: float,
         raise BrokerUnreachable(f"{ref}: {exc}") from exc
     topics: set[str] = set()
     try:
-        conn.send(Connect(f"census-{ref.host}-{ref.port}"))
+        conn.send(Connect(""))
         ack = conn.recv(timeout=timeout)
         if not isinstance(ack, ConnAck) or ack.reason != Reason.SUCCESS:
             raise BrokerUnreachable(f"{ref}: bad handshake reply {ack!r}")
         conn.send(Subscribe(1, ("#",)))
+        conn.send(PingReq())
         suback = conn.recv(timeout=timeout)
         if not isinstance(suback, SubAck) or suback.reasons[0] != Reason.SUCCESS:
             raise BrokerUnreachable(f"{ref}: census subscription refused")
         deadline = time.monotonic() + listen_window
         while True:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                break
             try:
-                packet = conn.recv(timeout=left)
+                packet = conn.recv(timeout=max(0.0, deadline - time.monotonic()))
             except TimeoutError:
+                logger.warning("census of %s: no PINGRESP within %gs, "
+                               "keeping %d topic(s)", ref, listen_window,
+                               len(topics))
                 break
             if packet is None:
                 raise BrokerUnreachable(f"{ref}: hung up during census")
@@ -143,6 +153,8 @@ def topic_discovery(ref: BrokerRef, timeout: float,
                 topics.add(packet.topic)
                 if packet.qos == 1:
                     conn.send(PubAck(packet.packet_id))
+            elif isinstance(packet, PingResp):
+                break
             elif isinstance(packet, Disconnect):
                 return frozenset(topics)
         try:
@@ -156,6 +168,30 @@ def topic_discovery(ref: BrokerRef, timeout: float,
         conn.close()
 
 
+def census_sweep(config: DiscoveryConfig) -> dict[BrokerRef, frozenset[str]]:
+    """Probe the fleet, then census every broker found, in parallel.
+
+    Returns each answering broker's topics in address order.  A broker
+    that dies between probe and census just drops out; one broker's
+    failure never aborts the rest of the sweep.
+    """
+    refs = broker_discovery(config)
+    if not refs:
+        return {}
+
+    def census(ref: BrokerRef) -> frozenset[str] | None:
+        try:
+            return topic_discovery(ref, config.timeout, config.listen_window)
+        except BrokerUnreachable as exc:
+            logger.warning("census failed: %s", exc)
+            return None
+
+    with ThreadPoolExecutor(max_workers=min(_PROBE_WORKERS, len(refs))) as pool:
+        results = list(pool.map(census, refs))
+    return {ref: topics for ref, topics in zip(refs, results)
+            if topics is not None}
+
+
 class MasterBroker:
     """Topic directory speaking MQTT on the client side."""
 
@@ -165,13 +201,15 @@ class MasterBroker:
         self._host = host
         self._port = port
         self._lock = threading.RLock()
-        self._refresh_lock = threading.Lock()
+        self._refreshed = threading.Condition(self._lock)
+        self._sweeping = False
+        self._sweeps_started = 0
+        self._sweeps_done = 0
         self._registry = Registry()
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
         self._conns: set[PacketConnection] = set()
         self._stop = threading.Event()
-        self._anon = itertools.count(1)
         self.connection_count = 0  # lifetime client connections, for tests
 
     # -- lifecycle ----------------------------------------------------------
@@ -225,34 +263,31 @@ class MasterBroker:
     def refresh_registry(self) -> Registry:
         """Probe, census every reachable broker, swap in the new snapshot.
 
-        A broker that dies between probe and census just drops out; one
-        broker's failure never aborts the rest of the sweep.
+        Single-flight: concurrent callers share one sweep, and every
+        caller gets the result of a sweep that started after it called.
+        So N concurrent misses cost at most two sweeps, not N.
         """
-        with self._refresh_lock:
-            refs = broker_discovery(self._discovery)
-            entries: dict[BrokerRef, frozenset[str]] = {}
-
-            def census(ref: BrokerRef):
-                try:
-                    return ref, topic_discovery(
-                        ref, self._discovery.timeout,
-                        self._discovery.listen_window)
-                except BrokerUnreachable as exc:
-                    logger.warning("census failed: %s", exc)
-                    return ref, None
-
-            if refs:
-                with ThreadPoolExecutor(max_workers=min(_PROBE_WORKERS,
-                                                        len(refs))) as pool:
-                    for ref, topics in pool.map(census, refs):
-                        if topics is not None:
-                            entries[ref] = topics
+        with self._refreshed:
+            wanted = self._sweeps_started + 1
+            while self._sweeping and self._sweeps_done < wanted:
+                self._refreshed.wait()
+            if self._sweeps_done >= wanted:
+                return self._registry
+            self._sweeping = True
+            self._sweeps_started += 1
+        try:
+            entries = census_sweep(self._discovery)
             registry = Registry(entries)
-            with self._lock:
+            with self._refreshed:
                 self._registry = registry
-            logger.info("registry refreshed: %s",
-                        {str(r): len(t) for r, t in entries.items()} or "empty")
-            return registry
+                self._sweeps_done = self._sweeps_started
+        finally:
+            with self._refreshed:
+                self._sweeping = False
+                self._refreshed.notify_all()
+        logger.info("registry refreshed: %s",
+                    {str(r): len(t) for r, t in entries.items()} or "empty")
+        return registry
 
     def _refresh_loop(self) -> None:
         while not self._stop.wait(self._discovery.refresh_period):

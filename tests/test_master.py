@@ -1,9 +1,16 @@
 """Master broker: discovery sweep, per-broker topic census, redirects."""
 
+import logging
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from helpers import connect, subscribe, wait_until
-from tdmqtt.errors import BrokerUnreachable
+from helpers import SilentBroker, connect, subscribe, wait_until
+from tdmqtt import master as master_module
+from tdmqtt.client import transparent_subscribe
+from tdmqtt.errors import BrokerUnreachable, NoSuchTopic
 from tdmqtt.master import DiscoveryConfig, Registry, broker_discovery, topic_discovery
 from tdmqtt.packets import (
     BrokerRef,
@@ -68,6 +75,43 @@ def test_census_acknowledges_stored_qos1_messages(broker):
     seed(broker, "critical", qos=1)
     topics = topic_discovery(broker.address, 0.5, 0.4)
     assert topics == {"critical"}
+
+
+def test_census_ends_on_the_pingresp_barrier(broker):
+    expected = {f"fleet/dev{i}" for i in range(2000)}
+    conn = connect(broker.address, "seeder")
+    for topic in sorted(expected):
+        conn.send(Publish(topic, b"x"))
+    wait_until(lambda: len(broker.topics()) == len(expected))
+    conn.close()
+    started = time.monotonic()
+    topics = topic_discovery(broker.address, 0.5, listen_window=5.0)
+    elapsed = time.monotonic() - started
+    assert topics == expected
+    assert elapsed < 1.0, f"census took {elapsed:.2f}s"
+
+
+def test_census_without_pingresp_stops_at_the_window(caplog):
+    silent = SilentBroker(topics=("a", "b/c"))
+    try:
+        started = time.monotonic()
+        topics = topic_discovery(silent.address, 0.5, listen_window=0.3)
+        elapsed = time.monotonic() - started
+    finally:
+        silent.stop()
+    assert topics == {"a", "b/c"}
+    assert elapsed >= 0.3
+    assert any(r.levelno == logging.WARNING and "no PINGRESP" in r.getMessage()
+               for r in caplog.records)
+
+
+def test_census_does_not_evict_a_client_with_its_old_id(broker):
+    ref = broker.address
+    bystander = connect(ref, f"census-{ref.host}-{ref.port}")
+    topic_discovery(ref, 0.5, 0.3)
+    bystander.send(PingReq())
+    assert bystander.recv(timeout=2) == PingResp()
+    bystander.close()
 
 
 def test_census_against_dead_address_raises(make_fleet):
@@ -208,3 +252,37 @@ def test_master_answers_ping_and_counts_connections(make_fleet, make_master):
     conn.send(PingReq())
     assert conn.recv(timeout=2) == PingResp()
     assert master.connection_count == before + 1
+
+
+def test_concurrent_misses_share_registry_sweeps(make_fleet, make_master,
+                                                 monkeypatch):
+    _, port = make_fleet(1)
+    master = make_master(addresses(2), port)
+    clients = 8
+    connected = master.connection_count + clients
+    sweeps = []
+    probe = master_module.broker_discovery
+
+    def counted_probe(config):
+        sweeps.append(config)
+        # hold the first sweep until every client is in, so all misses overlap
+        wait_until(lambda: master.connection_count >= connected, timeout=2.0)
+        time.sleep(0.1)
+        return probe(config)
+
+    monkeypatch.setattr(master_module, "broker_discovery", counted_probe)
+    start = threading.Barrier(clients)
+
+    def miss(_):
+        start.wait()
+        try:
+            transparent_subscribe(master.address, "nowhere/to/be/found",
+                                  lambda packet: None, timeout=2.0)
+        except Exception as exc:
+            return exc
+        return None
+
+    with ThreadPoolExecutor(max_workers=clients) as pool:
+        errors = list(pool.map(miss, range(clients)))
+    assert all(isinstance(e, NoSuchTopic) for e in errors), errors
+    assert len(sweeps) <= 2, f"{len(sweeps)} sweeps for {clients} misses"
