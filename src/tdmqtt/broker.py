@@ -14,6 +14,7 @@ enumerate the broker's whole topic population.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import socket
@@ -21,27 +22,21 @@ import threading
 
 from .packets import (
     BrokerRef,
-    ConnAck,
     Connect,
     Disconnect,
-    MalformedFilter,
-    MalformedPacket,
-    PingReq,
-    PingResp,
+    Packet,
     PubAck,
     Publish,
     Reason,
     SubAck,
     Subscribe,
     topic_matches,
-    validate_filter,
+    validate_filters,
 )
 from .errors import ConnectionClosed
-from .stream import PacketConnection
+from .stream import PacketConnection, Server, serve_mqtt
 
 logger = logging.getLogger(__name__)
-
-HANDSHAKE_TIMEOUT = 10.0
 
 
 class _Session:
@@ -68,54 +63,22 @@ class EdgeBroker:
         self._messages: dict[str, tuple[bytes, int]] = {}  # topic -> last message
         self._relocations: dict[str, BrokerRef | None] = {}
         self._anon = itertools.count(1)
-        self._listener: socket.socket | None = None
-        self._admin_listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._running = False
+        self._server = Server(host)
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "EdgeBroker":
-        self._listener = self._bind(self._port)
-        self._port = self._listener.getsockname()[1]
-        self._running = True
-        self._spawn(self._accept_loop, self._listener, self._serve_client)
+        self._port = self._server.listen(self._port, functools.partial(
+            serve_mqtt, attach=self._register, handle=self._handle,
+            detach=self._unregister))
         if self._admin_port is not None:
-            self._admin_listener = self._bind(self._admin_port)
-            self._admin_port = self._admin_listener.getsockname()[1]
-            self._spawn(self._accept_loop, self._admin_listener, self._serve_admin)
+            self._admin_port = self._server.listen(self._admin_port,
+                                                   self._serve_admin)
         logger.info("edge broker listening on %s", self.address)
         return self
 
     def stop(self) -> None:
-        self._running = False
-        for listener in (self._listener, self._admin_listener):
-            if listener is not None:
-                try:
-                    # a bare close() leaves the accept loop blocked
-                    listener.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                listener.close()
-        with self._lock:
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            session.conn.close()
-        for thread in self._threads:
-            thread.join(timeout=2)
-
-    def _bind(self, port: int) -> socket.socket:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._host, port))
-        sock.listen(64)
-        return sock
-
-    def _spawn(self, target, *args) -> None:
-        thread = threading.Thread(target=target, args=args, daemon=True)
-        thread.start()
-        self._threads = [t for t in self._threads if t.is_alive()]
-        self._threads.append(thread)
+        self._server.stop()
 
     @property
     def address(self) -> BrokerRef:
@@ -131,53 +94,11 @@ class EdgeBroker:
         with self._lock:
             return sorted(self._messages)
 
-    # -- accept/serve -------------------------------------------------------
+    # -- sessions -----------------------------------------------------------
 
-    def _accept_loop(self, listener: socket.socket, handler) -> None:
-        while self._running:
-            try:
-                sock, _ = listener.accept()
-            except OSError:
-                return  # listener closed by stop()
-            self._spawn(handler, sock)
-
-    def _serve_client(self, sock: socket.socket) -> None:
-        conn = PacketConnection(sock)
-        session = None
-        try:
-            first = conn.recv(timeout=HANDSHAKE_TIMEOUT)
-            if not isinstance(first, Connect):
-                return
-            session = self._register(conn, first.client_id)
-            conn.send(ConnAck(Reason.SUCCESS))
-            while True:
-                packet = conn.recv()
-                if packet is None or isinstance(packet, Disconnect):
-                    return
-                if isinstance(packet, PingReq):
-                    conn.send(PingResp())
-                elif isinstance(packet, Subscribe):
-                    if not self._handle_subscribe(session, packet):
-                        return
-                elif isinstance(packet, Publish):
-                    if not self._handle_publish(session, packet):
-                        return
-                elif isinstance(packet, PubAck):
-                    pass  # delivery acknowledgements are not tracked
-                else:
-                    logger.debug("closing %s: unexpected %r", conn.peer, packet)
-                    return
-        except (ConnectionClosed, MalformedPacket, TimeoutError, OSError) as exc:
-            logger.debug("session %s ended: %s", conn.peer, exc)
-        finally:
-            if session is not None:
-                self._unregister(session)
-            conn.close()
-
-    def _register(self, conn: PacketConnection, client_id: str) -> _Session:
+    def _register(self, conn: PacketConnection, connect: Connect) -> _Session:
         with self._lock:
-            if not client_id:
-                client_id = f"anon-{next(self._anon)}"
+            client_id = connect.client_id or f"anon-{next(self._anon)}"
             old = self._sessions.get(client_id)
             session = _Session(conn, client_id)
             self._sessions[client_id] = session
@@ -194,18 +115,17 @@ class EdgeBroker:
 
     # -- packet handlers ----------------------------------------------------
 
+    def _handle(self, session: _Session, packet: Packet) -> bool:
+        """Returns False when the session must close."""
+        if isinstance(packet, Subscribe):
+            return self._handle_subscribe(session, packet)
+        if isinstance(packet, Publish):
+            return self._handle_publish(session, packet)
+        return isinstance(packet, PubAck)  # acknowledgements are not tracked
+
     def _handle_subscribe(self, session: _Session, sub: Subscribe) -> bool:
         """Returns False when the session was redirected and must close."""
-        reasons = []
-        accepted = []
-        for filt in sub.filters:
-            try:
-                validate_filter(filt)
-            except MalformedFilter:
-                reasons.append(Reason.TOPIC_FILTER_NOT_ACCEPTED)
-            else:
-                reasons.append(Reason.SUCCESS)
-                accepted.append(filt)
+        reasons, accepted = validate_filters(sub.filters)
         with self._lock:
             session.filters.extend(accepted)
             replay = sorted(
@@ -218,7 +138,7 @@ class EdgeBroker:
                  if f in self._relocations),
                 None,
             )
-        session.conn.send(SubAck(sub.packet_id, tuple(reasons)))
+        session.conn.send(SubAck(sub.packet_id, reasons))
         for topic, payload, qos in snapshot:
             self._deliver(session, topic, payload, qos, retain=True)
         if moved is not None:
@@ -290,7 +210,7 @@ class EdgeBroker:
     def _serve_admin(self, sock: socket.socket) -> None:
         """Line protocol: RELOCATE <topic> [host:port], answered OK / ERR."""
         try:
-            with sock, sock.makefile("rw", encoding="utf-8", newline="\n") as f:
+            with sock.makefile("rw", encoding="utf-8", newline="\n") as f:
                 for line in f:
                     reply = self._admin_command(line.strip())
                     f.write(reply + "\n")

@@ -182,7 +182,6 @@ def cmd_discover(args, config: Config) -> int:
 
 def cmd_eval(args, config: Config) -> int:
     ev = config.eval
-    seed = args.seed if args.seed is not None else ev.seed
     if args.scenario == "breakdown":
         b = breakdown(ev.params)
         names = [f"{kind}_ms" for kind in ALL_KINDS]
@@ -194,11 +193,12 @@ def cmd_eval(args, config: Config) -> int:
         sys.stdout.write(",".join(names) + "\n")
         sys.stdout.write(",".join(f"{v * 1000:.6f}" for v in values) + "\n")
     elif args.scenario == "fig5":
+        seed = args.seed if args.seed is not None else ev.seed
         trace = scenario_broker_mobility(ev.params, ev.steps,
                                          ev.mobility_model, seed)
         sys.stdout.write(trace.to_csv())
     else:
-        trace = scenario_emma_comparison(ev.params, ev.steps, ev.emma, seed)
+        trace = scenario_emma_comparison(ev.params, ev.steps, ev.emma)
         sys.stdout.write(trace.to_csv())
     return EXIT_OK
 

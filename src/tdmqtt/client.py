@@ -26,8 +26,6 @@ from .errors import (
 )
 from .packets import (
     BrokerRef,
-    ConnAck,
-    Connect,
     Disconnect,
     MalformedPacket,
     PingReq,
@@ -40,7 +38,7 @@ from .packets import (
     validate_filter,
     validate_topic,
 )
-from .stream import PacketConnection, open_connection
+from .stream import PacketConnection, dial
 
 logger = logging.getLogger(__name__)
 
@@ -144,16 +142,9 @@ class SubscriberSession:
         MasterUnreachable when it cannot even be asked.
         """
         self._note("resolve", str(self.master))
+        conn = dial(self.master, f"{self.client_id}-resolve", self.timeout,
+                    MasterUnreachable)
         try:
-            conn = open_connection(self.master.host, self.master.port,
-                                   self.timeout)
-        except OSError as exc:
-            raise MasterUnreachable(f"{self.master}: {exc}") from exc
-        try:
-            conn.send(Connect(f"{self.client_id}-resolve"))
-            ack = conn.recv(timeout=self.timeout)
-            if not isinstance(ack, ConnAck) or ack.reason != Reason.SUCCESS:
-                raise MasterUnreachable(f"{self.master}: rejected connect: {ack!r}")
             conn.send(Subscribe(1, (self.topic_filter,)))
             while True:
                 packet = conn.recv(timeout=self.timeout)
@@ -175,15 +166,9 @@ class SubscriberSession:
 
     def _attach(self, ref: BrokerRef) -> PacketConnection:
         """Connect and subscribe at the broker the master named."""
+        conn = dial(ref, self.client_id, self.timeout, BrokerUnreachable,
+                    keep_alive=int(self.keepalive))
         try:
-            conn = open_connection(ref.host, ref.port, self.timeout)
-        except OSError as exc:
-            raise BrokerUnreachable(f"{ref}: {exc}") from exc
-        try:
-            conn.send(Connect(self.client_id, keep_alive=int(self.keepalive)))
-            ack = conn.recv(timeout=self.timeout)
-            if not isinstance(ack, ConnAck) or ack.reason != Reason.SUCCESS:
-                raise BrokerUnreachable(f"{ref}: rejected connect: {ack!r}")
             conn.send(Subscribe(1, (self.topic_filter,)))
             suback = conn.recv(timeout=self.timeout)
             if not isinstance(suback, SubAck) \
@@ -347,15 +332,9 @@ def publish(broker: BrokerRef, topic: str, payload: bytes, *, qos: int = 0,
     validate_topic(topic)
     if qos not in (0, 1):
         raise ValueError(f"qos must be 0 or 1, got {qos}")
+    conn = dial(broker, client_id or f"pub-{next(_session_ids)}", timeout,
+                BrokerUnreachable)
     try:
-        conn = open_connection(broker.host, broker.port, timeout)
-    except OSError as exc:
-        raise BrokerUnreachable(f"{broker}: {exc}") from exc
-    try:
-        conn.send(Connect(client_id or f"pub-{next(_session_ids)}"))
-        ack = conn.recv(timeout=timeout)
-        if not isinstance(ack, ConnAck) or ack.reason != Reason.SUCCESS:
-            raise BrokerUnreachable(f"{broker}: rejected connect: {ack!r}")
         conn.send(Publish(topic, payload, qos=qos,
                           packet_id=1 if qos else None))
         wait = timeout if qos else bounce_grace
@@ -388,15 +367,8 @@ def transparent_publish(master: BrokerRef, topic: str, payload: bytes, *,
     master knows no home for the topic.
     """
     validate_topic(topic)
+    conn = dial(master, f"pub-{next(_session_ids)}", timeout, MasterUnreachable)
     try:
-        conn = open_connection(master.host, master.port, timeout)
-    except OSError as exc:
-        raise MasterUnreachable(f"{master}: {exc}") from exc
-    try:
-        conn.send(Connect(f"pub-{next(_session_ids)}"))
-        ack = conn.recv(timeout=timeout)
-        if not isinstance(ack, ConnAck) or ack.reason != Reason.SUCCESS:
-            raise MasterUnreachable(f"{master}: rejected connect: {ack!r}")
         conn.send(Publish(topic, payload, qos=0))
         reply = conn.recv(timeout=timeout)
         if not isinstance(reply, Disconnect):

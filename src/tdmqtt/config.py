@@ -245,10 +245,10 @@ def _eval_section(raw: dict) -> EvalConfig:
 
 
 _SECTIONS = {
-    "master": ("master", _master_section),
-    "broker": ("broker", _broker_section),
-    "client": ("client", _client_section),
-    "eval": ("eval", _eval_section),
+    "master": _master_section,
+    "broker": _broker_section,
+    "client": _client_section,
+    "eval": _eval_section,
 }
 
 
@@ -275,9 +275,9 @@ def load_config(path: str | None = None) -> Config:
     if unknown:
         raise ConfigError("unknown section(s): " + ", ".join(sorted(unknown)))
     parts = {}
-    for name, (attr, build) in _SECTIONS.items():
+    for name, build in _SECTIONS.items():
         section = raw.get(name, {})
         if not isinstance(section, dict):
             raise ConfigError(f"section [{name}] must be a JSON object")
-        parts[attr] = build(section)
+        parts[name] = build(section)
     return Config(**parts)

@@ -304,14 +304,13 @@ class EmmaParams:
             raise ValueError("EMMA times must be >= 0")
 
 
-def scenario_emma_comparison(p: EvalParams, steps: int, emma: EmmaParams,
-                             seed: int = 0) -> ScenarioTrace:
+def scenario_emma_comparison(p: EvalParams, steps: int,
+                             emma: EmmaParams) -> ScenarioTrace:
     """Per-move discovery cost: directory lookup vs probing the fleet.
 
     The redirecting system pays one census plus one redirected
     subscription per move, independent of fleet size; the baseline
-    probes all N brokers and reconnects.  Both costs are deterministic,
-    so `seed` only keeps the scenario signatures uniform.
+    probes all N brokers and reconnects.  Both costs are deterministic.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

@@ -11,6 +11,7 @@ actually hosts the topic, then hangs up.
 
 from __future__ import annotations
 
+import functools
 import logging
 import socket
 import threading
@@ -21,11 +22,9 @@ from dataclasses import dataclass, field
 from .errors import BrokerUnreachable, ConnectionClosed
 from .packets import (
     BrokerRef,
-    ConnAck,
-    Connect,
     Disconnect,
-    MalformedFilter,
     MalformedPacket,
+    Packet,
     PingReq,
     PingResp,
     PubAck,
@@ -34,13 +33,12 @@ from .packets import (
     SubAck,
     Subscribe,
     topic_matches,
-    validate_filter,
+    validate_filters,
 )
-from .stream import PacketConnection, open_connection
+from .stream import PacketConnection, Server, dial, serve_mqtt
 
 logger = logging.getLogger(__name__)
 
-HANDSHAKE_TIMEOUT = 10.0
 _PROBE_WORKERS = 32
 
 
@@ -85,23 +83,24 @@ class Registry:
         return len(self.topics_by_broker)
 
 
+def _accepts_tcp(ref: BrokerRef, timeout: float) -> bool:
+    """The TCP reachability probe: does anything accept on ref?"""
+    try:
+        with socket.create_connection((ref.host, ref.port), timeout=timeout):
+            return True
+    except OSError:
+        return False
+
+
 def broker_discovery(config: DiscoveryConfig) -> list[BrokerRef]:
     """Probe every configured address; keep those that accept TCP."""
-
-    def probe(host: str) -> BrokerRef | None:
-        try:
-            with socket.create_connection((host, config.broker_port),
-                                          timeout=config.timeout):
-                return BrokerRef(host, config.broker_port)
-        except OSError:
-            return None
-
     if not config.addresses:
         return []
-    workers = min(_PROBE_WORKERS, len(config.addresses))
+    refs = [BrokerRef(host, config.broker_port) for host in config.addresses]
+    workers = min(_PROBE_WORKERS, len(refs))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        found = [ref for ref in pool.map(probe, config.addresses) if ref]
-    return sorted(found, key=str)
+        up = list(pool.map(lambda ref: _accepts_tcp(ref, config.timeout), refs))
+    return sorted((ref for ref, ok in zip(refs, up) if ok), key=str)
 
 
 def topic_discovery(ref: BrokerRef, timeout: float,
@@ -123,16 +122,9 @@ def topic_discovery(ref: BrokerRef, timeout: float,
     handshake, or dies mid-census; a DISCONNECT from the broker just
     ends the census early.
     """
-    try:
-        conn = open_connection(ref.host, ref.port, timeout)
-    except OSError as exc:
-        raise BrokerUnreachable(f"{ref}: {exc}") from exc
+    conn = dial(ref, "", timeout, BrokerUnreachable)
     topics: set[str] = set()
     try:
-        conn.send(Connect(""))
-        ack = conn.recv(timeout=timeout)
-        if not isinstance(ack, ConnAck) or ack.reason != Reason.SUCCESS:
-            raise BrokerUnreachable(f"{ref}: bad handshake reply {ack!r}")
         conn.send(Subscribe(1, ("#",)))
         conn.send(PingReq())
         suback = conn.recv(timeout=timeout)
@@ -206,52 +198,33 @@ class MasterBroker:
         self._sweeps_started = 0
         self._sweeps_done = 0
         self._registry = Registry()
-        self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._conns: set[PacketConnection] = set()
+        self._server = Server(host)
         self._stop = threading.Event()
-        self.connection_count = 0  # lifetime client connections, for tests
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "MasterBroker":
         self.refresh_registry()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(64)
-        self._port = listener.getsockname()[1]
-        self._listener = listener
-        self._spawn(self._accept_loop)
-        self._spawn(self._refresh_loop)
+        self._port = self._server.listen(self._port, functools.partial(
+            serve_mqtt, attach=lambda conn, connect: conn,
+            handle=self._answer))
+        self._server.spawn(self._refresh_loop)
         logger.info("master listening on %s, %d broker(s) registered",
                     self.address, len(self.registry))
         return self
 
     def stop(self) -> None:
         self._stop.set()
-        if self._listener is not None:
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._listener.close()
-        with self._lock:
-            conns = list(self._conns)
-        for conn in conns:
-            conn.close()
-        for thread in self._threads:
-            thread.join(timeout=2)
-
-    def _spawn(self, target, *args) -> None:
-        thread = threading.Thread(target=target, args=args, daemon=True)
-        thread.start()
-        self._threads = [t for t in self._threads if t.is_alive()]
-        self._threads.append(thread)
+        self._server.stop()
 
     @property
     def address(self) -> BrokerRef:
         return BrokerRef(self._host, self._port)
+
+    @property
+    def connection_count(self) -> int:
+        """Lifetime accepted client connections."""
+        return self._server.connection_count
 
     # -- registry -----------------------------------------------------------
 
@@ -309,60 +282,15 @@ class MasterBroker:
 
     # -- client side ----------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            with self._lock:
-                self.connection_count += 1
-            self._spawn(self._serve_client, sock)
-
-    def _serve_client(self, sock: socket.socket) -> None:
-        conn = PacketConnection(sock)
-        with self._lock:
-            self._conns.add(conn)
-        try:
-            first = conn.recv(timeout=HANDSHAKE_TIMEOUT)
-            if not isinstance(first, Connect):
-                return
-            conn.send(ConnAck(Reason.SUCCESS))
-            while True:
-                packet = conn.recv()
-                if packet is None or isinstance(packet, Disconnect):
-                    return
-                if isinstance(packet, PingReq):
-                    conn.send(PingResp())
-                elif isinstance(packet, Subscribe):
-                    self._answer_subscribe(conn, packet)
-                    return
-                elif isinstance(packet, Publish):
-                    conn.send(self._redirect_for([packet.topic]))
-                    return
-                else:
-                    logger.debug("closing %s: unexpected %r", conn.peer, packet)
-                    return
-        except (ConnectionClosed, MalformedPacket, TimeoutError, OSError) as exc:
-            logger.debug("client %s: %s", conn.peer, exc)
-        finally:
-            with self._lock:
-                self._conns.discard(conn)
-            conn.close()
-
-    def _answer_subscribe(self, conn: PacketConnection, sub: Subscribe) -> None:
-        reasons = []
-        accepted = []
-        for filt in sub.filters:
-            try:
-                validate_filter(filt)
-            except MalformedFilter:
-                reasons.append(Reason.TOPIC_FILTER_NOT_ACCEPTED)
-            else:
-                reasons.append(Reason.SUCCESS)
-                accepted.append(filt)
-        conn.send(SubAck(sub.packet_id, tuple(reasons)))
-        conn.send(self._redirect_for(accepted))
+    def _answer(self, conn: PacketConnection, packet: Packet) -> bool:
+        """Answer one SUBSCRIBE or PUBLISH with a redirect; always hang up."""
+        if isinstance(packet, Subscribe):
+            reasons, accepted = validate_filters(packet.filters)
+            conn.send(SubAck(packet.packet_id, reasons))
+            conn.send(self._redirect_for(accepted))
+        elif isinstance(packet, Publish):
+            conn.send(self._redirect_for([packet.topic]))
+        return False
 
     def _redirect_for(self, filters: list[str]) -> Disconnect:
         """One redirect per request: the broker for the first filter we
@@ -385,9 +313,4 @@ class MasterBroker:
         return Disconnect(Reason.TOPIC_FILTER_NOT_ACCEPTED)
 
     def _alive(self, ref: BrokerRef) -> bool:
-        try:
-            with socket.create_connection((ref.host, ref.port),
-                                          timeout=self._discovery.timeout):
-                return True
-        except OSError:
-            return False
+        return _accepts_tcp(ref, self._discovery.timeout)

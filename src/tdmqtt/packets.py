@@ -217,6 +217,21 @@ def validate_filter(text: str) -> str:
     return text
 
 
+def validate_filters(filters) -> tuple[tuple[int, ...], list[str]]:
+    """SUBACK reason codes for a SUBSCRIBE's filters, and those accepted."""
+    reasons = []
+    accepted = []
+    for filt in filters:
+        try:
+            validate_filter(filt)
+        except MalformedFilter:
+            reasons.append(Reason.TOPIC_FILTER_NOT_ACCEPTED)
+        else:
+            reasons.append(Reason.SUCCESS)
+            accepted.append(filt)
+    return tuple(reasons), accepted
+
+
 def topic_matches(filt: str, name: str) -> bool:
     """True iff the topic name matches the filter.
 

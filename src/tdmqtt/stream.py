@@ -1,15 +1,38 @@
-"""Blocking packet-framed socket wrapper used by every network role."""
+"""Connection lifecycle shared by every network role.
+
+Packet framing over a blocking socket (`PacketConnection`), the server
+core both brokers run on (`Server` plus `serve_mqtt`), and the client
+side of the CONNECT/CONNACK handshake (`dial`).
+"""
 
 from __future__ import annotations
 
+import logging
 import socket
 import threading
 import time
+from typing import Any, Callable
 
 from .errors import ConnectionClosed
-from .packets import IncompletePacket, Packet, decode, encode
+from .packets import (
+    BrokerRef,
+    ConnAck,
+    Connect,
+    Disconnect,
+    IncompletePacket,
+    MalformedPacket,
+    Packet,
+    PingReq,
+    PingResp,
+    Reason,
+    decode,
+    encode,
+)
+
+logger = logging.getLogger(__name__)
 
 _CHUNK = 4096
+HANDSHAKE_TIMEOUT = 10.0
 
 
 class PacketConnection:
@@ -92,3 +115,149 @@ def open_connection(host: str, port: int, timeout: float) -> PacketConnection:
     sock = socket.create_connection((host, port), timeout=timeout)
     sock.settimeout(None)
     return PacketConnection(sock)
+
+
+def dial(ref: BrokerRef, client_id: str, timeout: float,
+         unreachable: type[Exception], keep_alive: int = 0) -> PacketConnection:
+    """Connect to a broker or the master and complete CONNECT/CONNACK.
+
+    On refusal, timeout, a broken handshake or a refused CONNECT the
+    connection is closed and `unreachable` is raised.
+    """
+    conn = None
+    try:
+        conn = open_connection(ref.host, ref.port, timeout)
+        conn.send(Connect(client_id, keep_alive=keep_alive))
+        ack = conn.recv(timeout=timeout)
+    except (ConnectionClosed, MalformedPacket, OSError) as exc:
+        if conn is not None:
+            conn.close()
+        raise unreachable(f"{ref}: {exc}") from exc
+    if not isinstance(ack, ConnAck) or ack.reason != Reason.SUCCESS:
+        conn.close()
+        raise unreachable(f"{ref}: rejected connect: {ack!r}")
+    return conn
+
+
+def serve_mqtt(sock: socket.socket,
+               attach: Callable[[PacketConnection, Connect], Any],
+               handle: Callable[[Any, Packet], bool],
+               detach: Callable[[Any], None] | None = None) -> None:
+    """Run one MQTT conversation on an accepted socket.
+
+    Waits HANDSHAKE_TIMEOUT for the CONNECT, then calls
+    `attach(conn, connect)` before answering CONNACK; its result, never
+    None, is the session handed to `handle` and `detach`.  PINGREQ is
+    answered here; every other packet goes to `handle(session, packet)`.
+    The conversation ends on DISCONNECT, EOF, a broken connection, or
+    when `handle` returns False; `detach(session)` then runs if `attach`
+    did.
+    """
+    conn = PacketConnection(sock)
+    session = None
+    try:
+        first = conn.recv(timeout=HANDSHAKE_TIMEOUT)
+        if not isinstance(first, Connect):
+            return
+        session = attach(conn, first)
+        conn.send(ConnAck(Reason.SUCCESS))
+        while True:
+            packet = conn.recv()
+            if packet is None or isinstance(packet, Disconnect):
+                return
+            if isinstance(packet, PingReq):
+                conn.send(PingResp())
+            elif not handle(session, packet):
+                logger.debug("closing %s after %s", conn.peer,
+                             type(packet).__name__)
+                return
+    except (ConnectionClosed, MalformedPacket, TimeoutError, OSError) as exc:
+        logger.debug("connection %s ended: %s", conn.peer, exc)
+    finally:
+        if session is not None and detach is not None:
+            detach(session)
+        conn.close()
+
+
+class Server:
+    """Listening sockets with one thread per accepted connection.
+
+    Every accepted socket is tracked from accept on, so stop() also ends
+    connections that never finished a handshake or never speak MQTT.
+    """
+
+    def __init__(self, host: str):
+        self.host = host
+        self.connection_count = 0  # lifetime accepted connections
+        self._lock = threading.Lock()
+        self._stopped = False
+        self._listeners: list[socket.socket] = []
+        self._socks: set[socket.socket] = set()
+        self._threads: list[threading.Thread] = []
+
+    def listen(self, port: int,
+               handler: Callable[[socket.socket], None]) -> int:
+        """Bind and accept in the background; returns the bound port.
+
+        `handler(sock)` runs on the connection's own thread, and the
+        socket is closed after it returns.
+        """
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((self.host, port))
+        listener.listen(64)
+        self._listeners.append(listener)
+        self.spawn(self._accept_loop, listener, handler)
+        return listener.getsockname()[1]
+
+    def spawn(self, target: Callable[..., None], *args) -> None:
+        """Run target on a daemon thread that stop() joins."""
+        with self._lock:
+            self._start(target, *args)
+
+    def _start(self, target: Callable[..., None], *args) -> None:
+        # caller holds _lock, so stop() never misses a thread
+        thread = threading.Thread(target=target, args=args, daemon=True)
+        thread.start()
+        self._threads = [t for t in self._threads if t.is_alive()]
+        self._threads.append(thread)
+
+    def stop(self) -> None:
+        with self._lock:  # from here on no connection gets a thread
+            self._stopped = True
+            socks = list(self._socks)
+            threads = list(self._threads)
+        for sock in self._listeners + socks:
+            try:
+                # a bare close() leaves accept() and recv() blocked
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        for listener in self._listeners:
+            listener.close()
+        for thread in threads:
+            thread.join(timeout=2)
+
+    def _accept_loop(self, listener: socket.socket,
+                     handler: Callable[[socket.socket], None]) -> None:
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:
+                return  # listener shut down by stop()
+            with self._lock:
+                if self._stopped:
+                    sock.close()
+                    return
+                self._socks.add(sock)
+                self.connection_count += 1
+                self._start(self._serve, sock, handler)
+
+    def _serve(self, sock: socket.socket,
+               handler: Callable[[socket.socket], None]) -> None:
+        try:
+            handler(sock)
+        finally:
+            with self._lock:
+                self._socks.discard(sock)
+            sock.close()

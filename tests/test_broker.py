@@ -1,8 +1,13 @@
 """Edge broker behaviour over real sockets."""
 
+import socket
+import threading
+import time
+
 import pytest
 
 from helpers import admin_command, connect, drain, subscribe, wait_until
+from tdmqtt.broker import EdgeBroker
 from tdmqtt.errors import ConnectionClosed
 from tdmqtt.packets import (
     BrokerRef,
@@ -245,3 +250,29 @@ def test_admin_rejects_malformed_commands(make_broker, line, fragment):
     broker = make_broker(admin=True)
     reply = admin_command(broker.admin_address, line)
     assert reply.startswith("ERR") and fragment in reply
+
+
+def test_stop_ends_every_connection():
+    before = set(threading.enumerate())
+    broker = EdgeBroker(port=0, admin_port=0).start()
+
+    def spawned():
+        return [t for t in threading.enumerate()
+                if t not in before and t.is_alive()]
+
+    # one connection that never sends CONNECT, one idle admin connection
+    raw = socket.create_connection(
+        (broker.address.host, broker.address.port), timeout=2)
+    admin = socket.create_connection(broker.admin_address, timeout=2)
+    try:
+        # two accept loops plus one serving thread per connection
+        wait_until(lambda: len(spawned()) >= 4)
+        start = time.monotonic()
+        broker.stop()
+        took = time.monotonic() - start
+        left = spawned()
+    finally:
+        raw.close()
+        admin.close()
+    assert took < 1.0, f"stop() took {took:.2f}s"
+    assert left == [], f"threads still running after stop(): {left}"

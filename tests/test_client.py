@@ -1,11 +1,13 @@
 """Transparent subscriber sessions and the publish helpers."""
 
+import socket
 import threading
 import time
 
 import pytest
 
 from helpers import SilentBroker, wait_until
+from tdmqtt import master as master_module
 from tdmqtt.client import (
     SessionState,
     SubscriberSession,
@@ -264,3 +266,28 @@ def test_transparent_publish_unknown_topic(make_fleet, make_master):
     master = make_master(addresses(2), port)
     with pytest.raises(NoSuchTopic):
         transparent_publish(master.address, "tp/none", b"v")
+
+
+@pytest.fixture
+def silent_peer():
+    """A bare listener: TCP connects complete, nothing is ever answered."""
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        yield BrokerRef(*listener.getsockname()[:2])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda ref: publish(ref, "t", b"v", timeout=0.2), BrokerUnreachable),
+    (lambda ref: transparent_publish(ref, "t", b"v", timeout=0.2),
+     MasterUnreachable),
+    (lambda ref: master_module.topic_discovery(ref, 0.2, 0.2),
+     BrokerUnreachable),
+    (lambda ref: SubscriberSession(ref, "t", lambda packet: None,
+                                   timeout=0.2).open(),
+     MasterUnreachable),
+], ids=["publish", "transparent_publish", "topic_discovery",
+        "subscriber_open"])
+def test_silent_peer_raises_the_role_error(silent_peer, call, error):
+    with pytest.raises(error):
+        call(silent_peer)
