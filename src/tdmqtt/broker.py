@@ -30,6 +30,7 @@ from .packets import (
     Reason,
     SubAck,
     Subscribe,
+    redirect,
     topic_matches,
     validate_filters,
 )
@@ -61,7 +62,7 @@ class EdgeBroker:
         self._lock = threading.RLock()
         self._sessions: dict[str, _Session] = {}
         self._messages: dict[str, tuple[bytes, int]] = {}  # topic -> last message
-        self._relocations: dict[str, BrokerRef | None] = {}
+        self._relocations: dict[str, Disconnect] = {}  # topic -> its notice
         self._anon = itertools.count(1)
         self._server = Server(host)
 
@@ -133,35 +134,28 @@ class EdgeBroker:
                 if any(topic_matches(f, topic) for f in accepted)
             )
             snapshot = [(t, *self._messages[t]) for t in replay]
-            moved = next(
-                ((f, self._relocations[f]) for f in accepted
-                 if f in self._relocations),
-                None,
-            )
+            notice = next((self._relocations[f] for f in accepted
+                           if f in self._relocations), None)
         session.conn.send(SubAck(sub.packet_id, reasons))
         for topic, payload, qos in snapshot:
             self._deliver(session, topic, payload, qos, retain=True)
-        if moved is not None:
-            topic, target = moved
-            logger.debug("subscriber asked for relocated %r", topic)
-            session.conn.send(_relocation_disconnect(target))
+        if notice is not None:
+            session.conn.send(notice)
             return False
         return True
 
     def _handle_publish(self, session: _Session, pub: Publish) -> bool:
         with self._lock:
-            if pub.topic in self._relocations:
-                target = self._relocations[pub.topic]
-            else:
-                target = _NOT_MOVED
+            notice = self._relocations.get(pub.topic)
+            if notice is None:
                 self._messages[pub.topic] = (pub.payload, pub.qos)
                 receivers = [
                     s for s in self._sessions.values()
                     if s is not session
                     and any(topic_matches(f, pub.topic) for f in s.filters)
                 ]
-        if target is not _NOT_MOVED:
-            session.conn.send(_relocation_disconnect(target))
+        if notice is not None:
+            session.conn.send(notice)
             return False
         if pub.qos == 1:
             session.conn.send(PubAck(pub.packet_id, Reason.SUCCESS))
@@ -188,8 +182,9 @@ class EdgeBroker:
         told where it went; the topic leaves the local message table so it
         no longer appears in topic enumerations.
         """
+        notice = redirect(target)
         with self._lock:
-            self._relocations[topic] = target
+            self._relocations[topic] = notice
             self._messages.pop(topic, None)
             affected = [
                 s for s in self._sessions.values()
@@ -197,7 +192,6 @@ class EdgeBroker:
             ]
         logger.info("topic %r relocated to %s; notifying %d subscriber(s)",
                     topic, target or "unknown", len(affected))
-        notice = _relocation_disconnect(target)
         for session in affected:
             try:
                 session.conn.send(notice)
@@ -233,12 +227,3 @@ class EdgeBroker:
                 return f"ERR {exc}"
         self.relocate_topic(topic, target)
         return "OK"
-
-
-_NOT_MOVED = object()
-
-
-def _relocation_disconnect(target: BrokerRef | None) -> Disconnect:
-    if target is None:
-        return Disconnect(Reason.TOPIC_FILTER_NOT_ACCEPTED)
-    return Disconnect(Reason.USE_ANOTHER_SERVER, server_reference=target)

@@ -26,7 +26,7 @@ from .evalmodel import (
     scenario_broker_mobility,
     scenario_emma_comparison,
 )
-from .master import DiscoveryConfig, MasterBroker, census_sweep
+from .master import MasterBroker, census_sweep
 from .packets import BrokerRef, MalformedFilter, validate_topic
 
 logger = logging.getLogger(__name__)
@@ -94,13 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _discovery(config: Config) -> DiscoveryConfig:
-    mc = config.master
-    return DiscoveryConfig(addresses=mc.addresses, broker_port=mc.broker_port,
-                           timeout=mc.timeout, listen_window=mc.listen_window,
-                           refresh_period=mc.refresh_period)
-
-
 def _serve_forever(server) -> int:
     """Run a server until ^C.
 
@@ -120,8 +113,7 @@ def _serve_forever(server) -> int:
 
 def cmd_master(args, config: Config) -> int:
     listen = args.listen or config.master.listen
-    return _serve_forever(MasterBroker(_discovery(config),
-                                       listen.host, listen.port))
+    return _serve_forever(MasterBroker(config.master, listen.host, listen.port))
 
 
 def cmd_broker(args, config: Config) -> int:
@@ -169,13 +161,14 @@ def cmd_pub(args, config: Config) -> int:
         logger.info("published to %s", args.broker)
     else:
         master = args.master or config.client.master
-        ref = transparent_publish(master, args.topic, payload, qos=args.qos)
+        ref = transparent_publish(master, args.topic, payload, qos=args.qos,
+                                  timeout=config.client.timeout_s)
         logger.info("published to %s (via %s)", ref, master)
     return EXIT_OK
 
 
 def cmd_discover(args, config: Config) -> int:
-    for ref, topics in census_sweep(_discovery(config)).items():
+    for ref, topics in census_sweep(config.master).items():
         sys.stdout.write(f"{ref}\t{','.join(sorted(topics))}\n")
     return EXIT_OK
 

@@ -28,13 +28,13 @@ from .packets import (
     BrokerRef,
     Disconnect,
     MalformedPacket,
+    Packet,
     PingReq,
     PubAck,
     Publish,
     Reason,
     SubAck,
     Subscribe,
-    is_redirect,
     validate_filter,
     validate_topic,
 )
@@ -47,6 +47,8 @@ _session_ids = itertools.count(1)
 BACKOFF_FIRST = 0.5
 BACKOFF_CAP = 8.0
 QUICK_BOUNCE_S = 1.0  # attachments shorter than this look like a stale redirect
+RESOLVE_ROUNDS = 3     # master answers tried before a dead target is final
+BOUNCE_GRACE_S = 0.15  # QoS 0 publish: silence this long means delivered
 
 
 class SessionState(enum.Enum):
@@ -136,31 +138,13 @@ class SubscriberSession:
     # -- master conversation ---------------------------------------------------
 
     def _resolve(self) -> BrokerRef:
-        """Ask the master which broker hosts the filter.
-
-        Raises NoSuchTopic when the master draws a blank and
-        MasterUnreachable when it cannot even be asked.
-        """
+        """Ask the master which broker hosts the filter."""
         self._note("resolve", str(self.master))
-        conn = dial(self.master, f"{self.client_id}-resolve", self.timeout,
-                    MasterUnreachable)
-        try:
-            conn.send(Subscribe(1, (self.topic_filter,)))
-            while True:
-                packet = conn.recv(timeout=self.timeout)
-                if isinstance(packet, SubAck):
-                    continue  # verdict arrives in the closing DISCONNECT
-                if isinstance(packet, Disconnect):
-                    if is_redirect(packet.reason) and packet.server_reference:
-                        self._note("redirect", str(packet.server_reference))
-                        return packet.server_reference
-                    raise NoSuchTopic(self.topic_filter)
-                if packet is None:
-                    raise MasterUnreachable(f"{self.master}: hung up mid-answer")
-        except (ConnectionClosed, MalformedPacket, TimeoutError) as exc:
-            raise MasterUnreachable(f"{self.master}: {exc}") from exc
-        finally:
-            conn.close()
+        ref = _ask_master(self.master, f"{self.client_id}-resolve",
+                          Subscribe(1, (self.topic_filter,)),
+                          self.topic_filter, self.timeout)
+        self._note("redirect", str(ref))
+        return ref
 
     # -- edge broker conversation ------------------------------------------------
 
@@ -186,18 +170,16 @@ class SubscriberSession:
         self._note("attach", str(ref))
         return conn
 
-    def _resolve_and_attach(self, rounds: int = 3) -> PacketConnection:
+    def _resolve_and_attach(self) -> PacketConnection:
         """Master, then broker; a broker that vanished in between is
         retried against a fresh answer."""
-        last: Exception | None = None
-        for _ in range(rounds):
+        for _ in range(RESOLVE_ROUNDS - 1):
             ref = self._resolve()
             try:
                 return self._attach(ref)
             except BrokerUnreachable as exc:
                 logger.debug("redirect target gone: %s", exc)
-                last = exc
-        raise last if last is not None else BrokerUnreachable("no rounds")
+        return self._attach(self._resolve())
 
     # -- the session thread ----------------------------------------------------
 
@@ -253,8 +235,8 @@ class SubscriberSession:
 
     def _follow(self, packet: Disconnect) -> PacketConnection:
         """Next connection after the broker disconnected us on purpose."""
-        if is_redirect(packet.reason) and packet.server_reference:
-            target = packet.server_reference
+        target = packet.server_reference
+        if target is not None:
             self._note("moved", str(target))
             self.state = SessionState.RECONNECTING
             try:
@@ -320,8 +302,7 @@ def transparent_subscribe(master: BrokerRef, topic_filter: str,
 
 
 def publish(broker: BrokerRef, topic: str, payload: bytes, *, qos: int = 0,
-            client_id: str = "", timeout: float = 2.0,
-            bounce_grace: float = 0.15) -> None:
+            client_id: str = "", timeout: float = 2.0) -> None:
     """One-shot publish straight to a broker.
 
     Raises Redirected when the broker reports the topic has moved, and
@@ -337,7 +318,7 @@ def publish(broker: BrokerRef, topic: str, payload: bytes, *, qos: int = 0,
     try:
         conn.send(Publish(topic, payload, qos=qos,
                           packet_id=1 if qos else None))
-        wait = timeout if qos else bounce_grace
+        wait = timeout if qos else BOUNCE_GRACE_S
         try:
             reply = conn.recv(timeout=wait)
         except TimeoutError:
@@ -345,8 +326,7 @@ def publish(broker: BrokerRef, topic: str, payload: bytes, *, qos: int = 0,
                 raise BrokerUnreachable(f"{broker}: no PUBACK") from None
             reply = None  # silence means delivered
         if isinstance(reply, Disconnect):
-            ref = reply.server_reference if is_redirect(reply.reason) else None
-            raise Redirected(ref)
+            raise Redirected(reply.server_reference)
         if qos and not isinstance(reply, PubAck):
             raise BrokerUnreachable(f"{broker}: expected PUBACK, got {reply!r}")
         try:
@@ -367,18 +347,33 @@ def transparent_publish(master: BrokerRef, topic: str, payload: bytes, *,
     master knows no home for the topic.
     """
     validate_topic(topic)
-    conn = dial(master, f"pub-{next(_session_ids)}", timeout, MasterUnreachable)
+    target = _ask_master(master, f"pub-{next(_session_ids)}",
+                         Publish(topic, payload, qos=0), topic, timeout)
+    publish(target, topic, payload, qos=qos, timeout=timeout)
+    return target
+
+
+def _ask_master(master: BrokerRef, client_id: str, request: Packet,
+                topic: str, timeout: float) -> BrokerRef:
+    """Send the master one SUBSCRIBE or PUBLISH; return the broker its
+    closing DISCONNECT names.
+
+    Raises NoSuchTopic when that DISCONNECT names no broker, and
+    MasterUnreachable when the master cannot be asked or answers with
+    anything but at most one SUBACK and then the DISCONNECT.
+    """
+    conn = dial(master, client_id, timeout, MasterUnreachable)
     try:
-        conn.send(Publish(topic, payload, qos=0))
+        conn.send(request)
         reply = conn.recv(timeout=timeout)
+        if isinstance(reply, SubAck):
+            reply = conn.recv(timeout=timeout)  # the verdict comes next
         if not isinstance(reply, Disconnect):
             raise MasterUnreachable(f"{master}: expected a redirect, got {reply!r}")
-        if not (is_redirect(reply.reason) and reply.server_reference):
+        if reply.server_reference is None:
             raise NoSuchTopic(topic)
-        target = reply.server_reference
+        return reply.server_reference
     except (ConnectionClosed, MalformedPacket, TimeoutError) as exc:
         raise MasterUnreachable(f"{master}: {exc}") from exc
     finally:
         conn.close()
-    publish(target, topic, payload, qos=qos, timeout=timeout)
-    return target

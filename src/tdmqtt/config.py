@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .evalmodel import ALL_KINDS, EmmaParams, EvalParams, MOBILITY_MODELS, default_sizes
+from .master import DiscoveryConfig
 from .packets import BrokerRef
 
 ENV_VAR = "TDMQTT_CONFIG"
@@ -87,13 +88,8 @@ def _check_keys(raw: dict, section: str, allowed: set[str]) -> None:
 
 
 @dataclass(frozen=True)
-class MasterConfig:
+class MasterConfig(DiscoveryConfig):
     listen: BrokerRef = BrokerRef("0.0.0.0", 1884)
-    addresses: tuple[str, ...] = ()
-    broker_port: int = 1883
-    timeout: float = 0.25
-    listen_window: float = 0.5
-    refresh_period: float = 30.0
 
 
 @dataclass(frozen=True)

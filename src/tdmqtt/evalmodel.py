@@ -15,13 +15,13 @@ from .packets import (
     BrokerRef,
     ConnAck,
     Connect,
-    Disconnect,
     PubAck,
     Publish,
     Reason,
     SubAck,
     Subscribe,
     encode,
+    redirect,
 )
 
 MESSAGE_KINDS = ("connect", "connack", "subscribe", "suback",
@@ -104,8 +104,7 @@ def default_sizes() -> dict[str, float]:
         "publish": Publish("sensors/device/reading", b"21.5", qos=1,
                            packet_id=1),
         "puback": PubAck(1),
-        "disconnect": Disconnect(Reason.USE_ANOTHER_SERVER,
-                                 BrokerRef("192.168.1.10", 1883)),
+        "disconnect": redirect(BrokerRef("192.168.1.10", 1883)),
     }
     sizes = {kind: len(encode(packet)) * 8.0
              for kind, packet in reference.items()}

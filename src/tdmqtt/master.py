@@ -32,6 +32,7 @@ from .packets import (
     Reason,
     SubAck,
     Subscribe,
+    redirect,
     topic_matches,
     validate_filters,
 )
@@ -46,7 +47,7 @@ _PROBE_WORKERS = 32
 class DiscoveryConfig:
     """Where and how patiently to look for edge brokers."""
 
-    addresses: tuple[str, ...]
+    addresses: tuple[str, ...] = ()
     broker_port: int = 1883
     timeout: float = 0.25        # per-address TCP probe budget
     listen_window: float = 0.5   # census upper bound per broker
@@ -269,17 +270,6 @@ class MasterBroker:
             except Exception:
                 logger.exception("periodic refresh failed")
 
-    def resolve(self, topic_filter: str, *, refresh: bool = False) -> BrokerRef | None:
-        """Which broker hosts this filter, per the current registry.
-
-        With refresh=True a miss triggers one registry rebuild and a
-        second look before giving up.
-        """
-        ref = self.registry.find(topic_filter)
-        if ref is None and refresh:
-            ref = self.refresh_registry().find(topic_filter)
-        return ref
-
     # -- client side ----------------------------------------------------------
 
     def _answer(self, conn: PacketConnection, packet: Packet) -> bool:
@@ -301,16 +291,15 @@ class MasterBroker:
         client against a dead address.
         """
         if not filters:
-            return Disconnect(Reason.TOPIC_FILTER_NOT_ACCEPTED)
+            return redirect(None)
         for attempt in (False, True):
             registry = self.refresh_registry() if attempt else self.registry
             for filt in filters:
                 ref = registry.find(filt)
                 if ref is not None and self._alive(ref):
                     logger.info("redirecting %r to %s", filt, ref)
-                    return Disconnect(Reason.USE_ANOTHER_SERVER,
-                                      server_reference=ref)
-        return Disconnect(Reason.TOPIC_FILTER_NOT_ACCEPTED)
+                    return redirect(ref)
+        return redirect(None)
 
     def _alive(self, ref: BrokerRef) -> bool:
         return _accepts_tcp(ref, self._discovery.timeout)

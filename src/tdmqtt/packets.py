@@ -181,6 +181,14 @@ Packet = (
 )
 
 
+def redirect(target: BrokerRef | None) -> Disconnect:
+    """The DISCONNECT that sends a client to `target`, or, when no broker
+    hosts the topic, refuses it."""
+    if target is None:
+        return Disconnect(Reason.TOPIC_FILTER_NOT_ACCEPTED)
+    return Disconnect(Reason.USE_ANOTHER_SERVER, server_reference=target)
+
+
 # ---------------------------------------------------------------------------
 # Topic names and filters
 # ---------------------------------------------------------------------------

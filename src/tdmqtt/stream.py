@@ -71,7 +71,7 @@ class PacketConnection:
         while True:
             if self._buf:
                 try:
-                    packet, used = decode(bytes(self._buf))
+                    packet, used = decode(self._buf)
                 except IncompletePacket:
                     pass
                 else:
@@ -102,12 +102,6 @@ class PacketConnection:
         except OSError:
             pass
         self._sock.close()
-
-    def __enter__(self) -> "PacketConnection":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def open_connection(host: str, port: int, timeout: float) -> PacketConnection:

@@ -162,6 +162,22 @@ def test_pub_unknown_topic_via_master_exits_3(make_master):
                  "--topic", "ghost", "x"]) == 3
 
 
+def test_pub_via_silent_master_honours_client_timeout(write_config):
+    """The master accepts TCP but never answers: client.timeout_s bounds
+    the wait, not the library default of 2 s."""
+    path = write_config({"client": {"timeout_s": 0.2}})
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        master = "%s:%d" % listener.getsockname()[:2]
+        started = time.monotonic()
+        rc = main(["pub", "--config", path, "--master", master,
+                   "--topic", "t", "x"])
+        elapsed = time.monotonic() - started
+    assert rc == 1
+    assert elapsed < 1.0, f"pub took {elapsed:.2f}s"
+
+
 def test_pub_dead_broker_exits_1():
     assert main(["pub", "--broker", f"127.0.0.1:{free_port()}",
                  "--topic", "t", "x"]) == 1

@@ -159,10 +159,10 @@ def test_refresh_drops_a_dead_broker(make_fleet, make_master):
 def test_resolve_with_refresh_sees_late_topics(make_fleet, make_master):
     brokers, port = make_fleet(1)
     master = make_master(addresses(2), port)
-    assert master.resolve("born/late") is None
+    assert master.registry.find("born/late") is None
     seed(brokers[0], "born/late")
-    assert master.resolve("born/late") is None          # stale snapshot
-    assert master.resolve("born/late", refresh=True) == brokers[0].address
+    assert master.registry.find("born/late") is None    # stale snapshot
+    assert master.refresh_registry().find("born/late") == brokers[0].address
 
 
 # --- wire protocol ----------------------------------------------------------

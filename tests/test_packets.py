@@ -25,6 +25,7 @@ from tdmqtt.packets import (
     decode,
     encode,
     encode_varint,
+    redirect,
 )
 
 
@@ -293,3 +294,16 @@ def test_payload_is_bytes_even_when_given_bytearray():
     pkt = Publish("t", bytearray(b"xy"))
     assert isinstance(pkt.payload, bytes)
     assert decode(encode(pkt))[0] == Publish("t", b"xy")
+
+
+def test_redirect_round_trips_its_reference():
+    ref = BrokerRef("10.0.0.7", 1883)
+    packet, _ = decode(encode(redirect(ref)))
+    assert packet.reason == 0x9C
+    assert packet.server_reference == ref
+
+
+def test_redirect_without_target_refuses_the_topic():
+    packet, _ = decode(encode(redirect(None)))
+    assert packet.reason == 0x8F
+    assert packet.server_reference is None
