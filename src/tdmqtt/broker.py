@@ -10,6 +10,10 @@ Every publish updates the per-topic message table regardless of the
 retain flag, so a later subscribe replays the latest message of each
 matching topic.  That replay is what lets a wildcard subscriber
 enumerate the broker's whole topic population.
+
+Routing is indexed by filter: a publish looks up the few filters that
+can match its topic (packets.matching_filters) instead of testing every
+session's filters.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .packets import (
     Reason,
     SubAck,
     Subscribe,
+    matching_filters,
     redirect,
     topic_matches,
     validate_filters,
@@ -44,7 +49,7 @@ class _Session:
     def __init__(self, conn: PacketConnection, client_id: str):
         self.conn = conn
         self.client_id = client_id
-        self.filters: list[str] = []
+        self.filters: set[str] = set()
         self._pid = itertools.count(1)
 
     def next_packet_id(self) -> int:
@@ -61,6 +66,7 @@ class EdgeBroker:
         self._admin_port = admin_port
         self._lock = threading.RLock()
         self._sessions: dict[str, _Session] = {}
+        self._subscribers: dict[str, set[_Session]] = {}  # filter -> sessions
         self._messages: dict[str, tuple[bytes, int]] = {}  # topic -> last message
         self._relocations: dict[str, Disconnect] = {}  # topic -> its notice
         self._anon = itertools.count(1)
@@ -103,6 +109,8 @@ class EdgeBroker:
             old = self._sessions.get(client_id)
             session = _Session(conn, client_id)
             self._sessions[client_id] = session
+            if old is not None:  # stops receiving now, not when its thread ends
+                self._unsubscribe_all(old)
         if old is not None:
             logger.debug("evicting older session for %r", client_id)
             old.conn.close()
@@ -110,9 +118,27 @@ class EdgeBroker:
 
     def _unregister(self, session: _Session) -> None:
         with self._lock:
+            self._unsubscribe_all(session)
             # an eviction may already have replaced this id
             if self._sessions.get(session.client_id) is session:
                 del self._sessions[session.client_id]
+
+    def _unsubscribe_all(self, session: _Session) -> None:
+        for filt in session.filters:
+            subscribers = self._subscribers[filt]
+            subscribers.discard(session)
+            if not subscribers:
+                del self._subscribers[filt]
+        session.filters.clear()
+
+    def _receivers(self, topic: str) -> set[_Session]:
+        """Sessions holding at least one filter that matches topic."""
+        receivers: set[_Session] = set()
+        for filt in matching_filters(topic):
+            subscribers = self._subscribers.get(filt)
+            if subscribers:
+                receivers |= subscribers
+        return receivers
 
     # -- packet handlers ----------------------------------------------------
 
@@ -127,13 +153,17 @@ class EdgeBroker:
     def _handle_subscribe(self, session: _Session, sub: Subscribe) -> bool:
         """Returns False when the session was redirected and must close."""
         reasons, accepted = validate_filters(sub.filters)
+        wildcards = [f for f in accepted if f.endswith("#")]
         with self._lock:
-            session.filters.extend(accepted)
-            replay = sorted(
-                topic for topic in self._messages
-                if any(topic_matches(f, topic) for f in accepted)
-            )
-            snapshot = [(t, *self._messages[t]) for t in replay]
+            for filt in accepted:
+                session.filters.add(filt)
+                self._subscribers.setdefault(filt, set()).add(session)
+            replay = {f for f in accepted if f in self._messages}
+            if wildcards:  # only a '#' filter walks the message table
+                replay.update(
+                    topic for topic in self._messages
+                    if any(topic_matches(f, topic) for f in wildcards))
+            snapshot = [(t, *self._messages[t]) for t in sorted(replay)]
             notice = next((self._relocations[f] for f in accepted
                            if f in self._relocations), None)
         session.conn.send(SubAck(sub.packet_id, reasons))
@@ -149,11 +179,8 @@ class EdgeBroker:
             notice = self._relocations.get(pub.topic)
             if notice is None:
                 self._messages[pub.topic] = (pub.payload, pub.qos)
-                receivers = [
-                    s for s in self._sessions.values()
-                    if s is not session
-                    and any(topic_matches(f, pub.topic) for f in s.filters)
-                ]
+                receivers = self._receivers(pub.topic)
+                receivers.discard(session)
         if notice is not None:
             session.conn.send(notice)
             return False
@@ -186,10 +213,7 @@ class EdgeBroker:
         with self._lock:
             self._relocations[topic] = notice
             self._messages.pop(topic, None)
-            affected = [
-                s for s in self._sessions.values()
-                if any(topic_matches(f, topic) for f in s.filters)
-            ]
+            affected = self._receivers(topic)
         logger.info("topic %r relocated to %s; notifying %d subscriber(s)",
                     topic, target or "unknown", len(affected))
         for session in affected:

@@ -33,7 +33,6 @@ from .packets import (
     SubAck,
     Subscribe,
     redirect,
-    topic_matches,
     validate_filters,
 )
 from .stream import PacketConnection, Server, dial, serve_mqtt
@@ -62,9 +61,34 @@ class DiscoveryConfig:
 
 @dataclass(frozen=True)
 class Registry:
-    """One consistent view of who hosts what.  Never mutated in place."""
+    """One consistent view of who hosts what.  Never mutated in place.
+
+    Construction indexes every filter that can match a hosted topic (see
+    packets.matching_filters) to the first broker, in address order,
+    hosting such a topic, so find() is one dict lookup.
+    """
 
     topics_by_broker: dict[BrokerRef, frozenset[str]] = field(default_factory=dict)
+    _first: dict[str, BrokerRef] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        first: dict[str, BrokerRef] = {}
+        for ref in self.brokers():
+            topics = self.topics_by_broker[ref]
+            if topics:
+                first.setdefault("#", ref)
+            for topic in topics:
+                first.setdefault(topic, ref)
+                # Longest prefix first: once a prefix's '/#' is present,
+                # an earlier topic has already claimed every shorter one.
+                filt, end = topic + "/#", len(topic)
+                while filt not in first:
+                    first[filt] = ref
+                    end = topic.rfind("/", 0, end)
+                    if end == -1:
+                        break
+                    filt = topic[:end + 1] + "#"
+        object.__setattr__(self, "_first", first)
 
     def brokers(self) -> list[BrokerRef]:
         return sorted(self.topics_by_broker, key=str)
@@ -74,11 +98,7 @@ class Registry:
 
     def find(self, topic_filter: str) -> BrokerRef | None:
         """First broker (by address order) hosting a matching topic."""
-        for ref in self.brokers():
-            if any(topic_matches(topic_filter, t)
-                   for t in self.topics_by_broker[ref]):
-                return ref
-        return None
+        return self._first.get(topic_filter)
 
     def __len__(self) -> int:
         return len(self.topics_by_broker)

@@ -256,6 +256,23 @@ def topic_matches(filt: str, name: str) -> bool:
     return flevels == nlevels
 
 
+def matching_filters(name: str) -> list[str]:
+    """Every filter that matches the topic name, as topic_matches decides.
+
+    With only a trailing '#', a name l1/.../lk is matched by itself, by
+    '#', and by l1/#, ..., l1/.../lk/# (a trailing '#' also covers the
+    parent level): k+2 filters, so an index keyed by filter answers
+    "who matches this name" with k+2 dict lookups.
+    """
+    filters = [name, "#"]
+    slash = name.find("/")
+    while slash != -1:
+        filters.append(name[:slash + 1] + "#")
+        slash = name.find("/", slash + 1)
+    filters.append(name + "/#")
+    return filters
+
+
 # ---------------------------------------------------------------------------
 # Primitive readers/writers
 # ---------------------------------------------------------------------------
@@ -521,7 +538,7 @@ def decode(data: bytes) -> tuple[Packet, int]:
     total = pos + remaining
     if len(data) < total:
         raise IncompletePacket(needed=total - len(data))
-    r = _Reader(bytes(data[pos:total]))
+    r = _Reader(bytes(memoryview(data)[pos:total]))  # one copy, even of a bytearray
 
     if packet_type == TYPE_CONNECT:
         _require_flags(flags, 0, "CONNECT")

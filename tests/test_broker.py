@@ -1,6 +1,7 @@
 """Edge broker behaviour over real sockets."""
 
 import socket
+import sys
 import threading
 import time
 
@@ -11,13 +12,17 @@ from tdmqtt.broker import EdgeBroker
 from tdmqtt.errors import ConnectionClosed
 from tdmqtt.packets import (
     BrokerRef,
+    Connect,
     Disconnect,
     PingReq,
     PingResp,
     PubAck,
     Publish,
     Reason,
+    SubAck,
+    Subscribe,
 )
+from tdmqtt.stream import open_connection
 
 
 def test_publish_reaches_matching_subscriber(broker):
@@ -73,6 +78,9 @@ def test_subscribe_replays_latest_message_per_topic(broker):
         Publish("t/two", b"2", retain=True),
     ]
     assert drain(sub, 0.2) == []
+    exact = connect(broker.address, "exact")
+    subscribe(exact, "t/two")
+    assert drain(exact, 0.3) == [Publish("t/two", b"2", retain=True)]
 
 
 def test_replay_deduplicates_across_overlapping_filters(broker):
@@ -140,6 +148,93 @@ def test_anonymous_clients_get_distinct_identities(broker):
     pub.send(Publish("t", b"v"))
     assert a.recv(timeout=2).payload == b"v"
     assert b.recv(timeout=2).payload == b"v"
+
+
+def test_overlapping_filters_get_one_copy(broker):
+    sub = connect(broker.address, "sub")
+    subscribe(sub, "a/#", "a/b")
+    pub = connect(broker.address, "pub")
+    pub.send(Publish("a/b", b"v"))
+    assert drain(sub, 0.3) == [Publish("a/b", b"v")]
+
+
+def test_repeated_subscribe_gets_one_copy(broker):
+    sub = connect(broker.address, "sub")
+    subscribe(sub, "t", pid=1)
+    subscribe(sub, "t", pid=2)
+    pub = connect(broker.address, "pub")
+    pub.send(Publish("t", b"1"))
+    pub.send(Publish("t", b"2"))
+    assert [p.payload for p in drain(sub, 0.3)] == [b"1", b"2"]
+
+
+def test_departed_and_evicted_sessions_leave_the_routing_index(broker):
+    gone = connect(broker.address, "gone")
+    subscribe(gone, "t")
+    gone.send(Disconnect(Reason.NORMAL))
+    gone.close()
+    evicted = connect(broker.address, "same-id")
+    subscribe(evicted, "t/#")
+    live = connect(broker.address, "same-id")
+    subscribe(live, "t")
+    # only the live session's filter is still indexed
+    wait_until(lambda: broker._subscribers.keys() == {"t"})
+    assert len(broker._subscribers["t"]) == 1
+
+    pub = connect(broker.address, "pub")
+    pub.send(Publish("t", b"v"))
+    assert drain(live, 0.3) == [Publish("t", b"v")]
+
+
+def test_routing_index_survives_concurrent_churn(broker):
+    """Sessions subscribe and leave while a publisher floods their topic;
+    afterwards the index holds only the one live session."""
+    stop = threading.Event()
+    errors = []
+
+    def flood():
+        pub = connect(broker.address, "flood")
+        while not stop.is_set():
+            pub.send(Publish("s/x", b"v"))
+        pub.close()
+
+    def churn(i):
+        try:
+            for round_ in range(15):
+                conn = open_connection(broker.address.host, broker.address.port, 2)
+                try:
+                    conn.send(Connect(f"c{i % 3}"))  # ids collide: evictions
+                    conn.send(Subscribe(1, ("s/#", "s/x", f"s/{round_}")))
+                    while not isinstance(conn.recv(timeout=2),
+                                         (SubAck, type(None))):
+                        pass  # the flood may overtake the SUBACK
+                except ConnectionClosed:
+                    pass  # evicted by a namesake
+                finally:
+                    conn.close()
+        except Exception as exc:  # any failure fails the test below
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        flooder = threading.Thread(target=flood)
+        flooder.start()
+        workers = [threading.Thread(target=churn, args=(i,)) for i in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+        stop.set()
+        flooder.join(timeout=10)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(w.is_alive() for w in workers) and not flooder.is_alive()
+    assert errors == []
+    live = connect(broker.address, "live")
+    subscribe(live, "s/x")
+    wait_until(lambda: broker._subscribers.keys() == {"s/x"})
+    assert len(broker._subscribers["s/x"]) == 1
 
 
 # --- relocation -------------------------------------------------------------

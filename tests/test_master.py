@@ -6,8 +6,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import SilentBroker, connect, subscribe, wait_until
+from test_topics import filter_st, name_st
 from tdmqtt import master as master_module
 from tdmqtt.client import transparent_subscribe
 from tdmqtt.errors import BrokerUnreachable, NoSuchTopic
@@ -21,6 +23,7 @@ from tdmqtt.packets import (
     Reason,
     Subscribe,
     SubAck,
+    topic_matches,
 )
 
 
@@ -135,6 +138,42 @@ def test_registry_find_matches_wildcards():
     reg = Registry({ref: frozenset({"room/1/temp"})})
     assert reg.find("room/#") == ref
     assert reg.find("garage/#") is None
+
+
+def test_registry_find_parent_level_and_address_order():
+    r1, r2 = BrokerRef("127.0.0.1", 1883), BrokerRef("127.0.0.2", 1883)
+    reg = Registry({r1: frozenset({"ab", "b/a"}), r2: frozenset({"a"}),
+                    BrokerRef("127.0.0.3", 1883): frozenset()})
+    assert reg.find("a/#") == r2  # '#' covers the parent level "a"
+    assert reg.find("a") == r2
+    assert reg.find("b/#") == r1
+    assert reg.find("a/b") is None
+    assert Registry().find("#") is None
+
+
+def linear_find(reg: Registry, filt: str) -> BrokerRef | None:
+    """The registry lookup as a scan: the reference for the index."""
+    for ref in reg.brokers():
+        if any(topic_matches(filt, t) for t in reg.topics_of(ref)):
+            return ref
+    return None
+
+
+REFS = [BrokerRef(f"127.0.0.{i}", port) for i in (1, 2, 10) for port in (1883, 1884)]
+SHARED = ["a", "a/b", "a/b/c", "ab", "b/a", "/a", "a/"]
+registry_st = st.dictionaries(
+    st.sampled_from(REFS),
+    st.frozensets(st.one_of(st.sampled_from(SHARED), name_st), max_size=6),
+    max_size=len(REFS),
+).map(Registry)
+
+
+@settings(max_examples=300)
+@given(registry_st, filter_st)
+@example(Registry({REFS[1]: frozenset({"a"}), REFS[0]: frozenset({"a/b"})}), "a/#")
+@example(Registry({REFS[0]: frozenset(), REFS[1]: frozenset({"b"})}), "#")
+def test_registry_find_agrees_with_a_linear_scan(reg, filt):
+    assert reg.find(filt) == linear_find(reg, filt)
 
 
 def test_master_builds_registry_on_start(make_fleet, make_master):

@@ -296,6 +296,16 @@ def test_payload_is_bytes_even_when_given_bytearray():
     assert decode(encode(pkt))[0] == Publish("t", b"xy")
 
 
+def test_decode_from_bytearray_gives_a_bytes_payload():
+    payload = bytes(range(256)) * 128
+    wire = bytearray(encode(Publish("t", payload, qos=1, packet_id=3)))
+    packet, used = decode(wire)
+    assert type(packet.payload) is bytes
+    assert packet.payload == payload
+    del wire[:used]  # decode holds no export of the buffer afterwards
+    assert wire == bytearray()
+
+
 def test_redirect_round_trips_its_reference():
     ref = BrokerRef("10.0.0.7", 1883)
     packet, _ = decode(encode(redirect(ref)))

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from tdmqtt.packets import (
     MalformedFilter,
+    matching_filters,
     topic_matches,
     validate_filter,
     validate_topic,
@@ -70,6 +71,21 @@ def test_matcher_agrees_with_naive_reference(filt, name):
 def test_every_name_matches_itself_and_hash(name):
     assert topic_matches(name, name)
     assert topic_matches("#", name)
+
+
+@given(filter_st, name_st)
+def test_matching_filters_are_exactly_the_matching_filters(filt, name):
+    assert (filt in matching_filters(name)) == naive_matches(filt, name)
+
+
+@given(name_st)
+def test_matching_filters_has_levels_plus_two_distinct_entries(name):
+    filters = matching_filters(name)
+    assert len(set(filters)) == len(filters) == name.count("/") + 3
+
+
+def test_matching_filters_of_a_two_level_name():
+    assert matching_filters("a/b") == ["a/b", "#", "a/#", "a/b/#"]
 
 
 def test_validate_filter_accepts_hash_forms():
