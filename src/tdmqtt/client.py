@@ -11,8 +11,10 @@ messages on a callback.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import logging
+import os
 import threading
 import time
 from typing import Callable
@@ -30,6 +32,7 @@ from .packets import (
     MalformedPacket,
     Packet,
     PingReq,
+    PingResp,
     PubAck,
     Publish,
     Reason,
@@ -48,7 +51,11 @@ BACKOFF_FIRST = 0.5
 BACKOFF_CAP = 8.0
 QUICK_BOUNCE_S = 1.0  # attachments shorter than this look like a stale redirect
 RESOLVE_ROUNDS = 3     # master answers tried before a dead target is final
-BOUNCE_GRACE_S = 0.15  # QoS 0 publish: silence this long means delivered
+
+
+def _fresh_id(kind: str) -> str:
+    """A default client id, unique across processes on one host."""
+    return f"{kind}-{os.getpid()}-{next(_session_ids)}"
 
 
 class SessionState(enum.Enum):
@@ -75,7 +82,7 @@ class SubscriberSession:
         self.master = master
         self.topic_filter = topic_filter
         self.on_message = on_message
-        self.client_id = client_id or f"sub-{next(_session_ids)}"
+        self.client_id = client_id or _fresh_id("sub")
         self.keepalive = keepalive
         self.timeout = timeout
         self.state = SessionState.RESOLVING
@@ -104,7 +111,7 @@ class SubscriberSession:
         background.
         """
         validate_filter(self.topic_filter)
-        conn = self._resolve_and_attach()
+        _, conn = _until_reachable(self._resolve, self._attach)
         self._start_thread(conn)
         return self
 
@@ -170,23 +177,12 @@ class SubscriberSession:
         self._note("attach", str(ref))
         return conn
 
-    def _resolve_and_attach(self) -> PacketConnection:
-        """Master, then broker; a broker that vanished in between is
-        retried against a fresh answer."""
-        for _ in range(RESOLVE_ROUNDS - 1):
-            ref = self._resolve()
-            try:
-                return self._attach(ref)
-            except BrokerUnreachable as exc:
-                logger.debug("redirect target gone: %s", exc)
-        return self._attach(self._resolve())
-
     # -- the session thread ----------------------------------------------------
 
     def _run(self, conn: PacketConnection) -> None:
         while not self._stop.is_set():
             try:
-                conn = self._pump(conn)
+                conn = self._reattach(self._pump(conn))
             except NoSuchTopic as exc:
                 self.error = exc
                 self._note("closed", "topic gone")
@@ -200,8 +196,9 @@ class SubscriberSession:
         self._set_conn(None)
         self.state = SessionState.CLOSED
 
-    def _pump(self, conn: PacketConnection) -> PacketConnection:
-        """Serve one attachment; returns the next connection to serve."""
+    def _pump(self, conn: PacketConnection) -> BrokerRef | None:
+        """Serve one attachment until it ends; returns the broker its
+        closing DISCONNECT names, or None (no name, or the line was lost)."""
         self._set_conn(conn)
         try:
             while not self._stop.is_set():
@@ -219,7 +216,9 @@ class SubscriberSession:
                     self._note("message", packet.topic)
                     self.on_message(packet)
                 elif isinstance(packet, Disconnect):
-                    return self._follow(packet)
+                    # a target, or shutdown / unknown destination / odd reason
+                    self._note("moved", str(packet.server_reference or ""))
+                    return packet.server_reference
                 # PingResp and stray acks just prove liveness
         except (ConnectionClosed, MalformedPacket, TimeoutError, OSError) as exc:
             if self._stop.is_set():
@@ -227,57 +226,40 @@ class SubscriberSession:
             self._note("lost", str(self.broker or ""))
             logger.info("broker %s unresponsive (%s); re-resolving",
                         self.broker, exc)
-            return self._recover()
+            return None
         finally:
             self._set_conn(None)
             conn.close()
         raise ConnectionClosed("session closed")
 
-    def _follow(self, packet: Disconnect) -> PacketConnection:
-        """Next connection after the broker disconnected us on purpose."""
-        target = packet.server_reference
+    def _reattach(self, target: BrokerRef | None) -> PacketConnection:
+        """The next connection after an attachment ended: the named
+        target, else the master's answer, asked for until one works or
+        the topic is gone.  An attachment that bounced straight back
+        pauses first, so a lagging directory cannot turn into a
+        reconnect storm.
+        """
+        self.state = SessionState.RECONNECTING
         if target is not None:
-            self._note("moved", str(target))
-            self.state = SessionState.RECONNECTING
             try:
                 return self._attach(target)
             except BrokerUnreachable as exc:
                 logger.info("moved-to broker %s unreachable (%s); "
                             "asking the master", target, exc)
-                return self._recover()
-        # unknown destination, broker shutdown, or an odd reason code:
-        # only the master can say where to go now
-        self._note("moved", "")
-        return self._recover()
-
-    def _recover(self) -> PacketConnection:
-        """Re-resolve via the master until it works or the topic is gone.
-
-        An attachment that bounced straight back means the master's
-        answer was stale; sleeping before asking again keeps a
-        lagging directory from turning into a reconnect storm.
-        """
-        self.state = SessionState.RECONNECTING
         self.broker = None
-        if time.monotonic() - self._attached_at < QUICK_BOUNCE_S:
-            if self._stop.wait(self._backoff):
-                raise ConnectionClosed("session closed")
-            self._backoff = min(self._backoff * 2, BACKOFF_CAP)
-        else:
+        pause = time.monotonic() - self._attached_at < QUICK_BOUNCE_S
+        if not pause:
             self._backoff = BACKOFF_FIRST
-        while True:
-            if self._stop.is_set():
-                raise ConnectionClosed("session closed")
+        while not self._stop.wait(self._backoff if pause else 0):
+            if pause:
+                self._backoff = min(self._backoff * 2, BACKOFF_CAP)
             try:
-                return self._resolve_and_attach()
-            except NoSuchTopic:
-                raise
+                return _until_reachable(self._resolve, self._attach)[1]
             except (MasterUnreachable, BrokerUnreachable) as exc:
                 logger.info("recovery attempt failed (%s); retrying in %.1fs",
                             exc, self._backoff)
-            if self._stop.wait(self._backoff):
-                raise ConnectionClosed("session closed")
-            self._backoff = min(self._backoff * 2, BACKOFF_CAP)
+            pause = True
+        raise ConnectionClosed("session closed")
 
     def _start_thread(self, conn: PacketConnection) -> None:
         self._thread = threading.Thread(
@@ -290,12 +272,8 @@ def transparent_subscribe(master: BrokerRef, topic_filter: str,
                           on_message: Callable[[Publish], None], *,
                           client_id: str = "", keepalive: float = 10.0,
                           timeout: float = 2.0) -> SubscriberSession:
-    """Subscribe knowing only the master and the topic filter.
-
-    Blocks until the first attachment succeeds, so resolution problems
-    (NoSuchTopic, MasterUnreachable, BrokerUnreachable) surface here;
-    afterwards the session heals itself in the background.
-    """
+    """Subscribe knowing only the master and the topic filter; blocks
+    as SubscriberSession.open() does."""
     return SubscriberSession(master, topic_filter, on_message,
                              client_id=client_id, keepalive=keepalive,
                              timeout=timeout).open()
@@ -306,34 +284,31 @@ def publish(broker: BrokerRef, topic: str, payload: bytes, *, qos: int = 0,
     """One-shot publish straight to a broker.
 
     Raises Redirected when the broker reports the topic has moved, and
-    BrokerUnreachable when it cannot be reached at all.  For QoS 0 the
-    broker stays silent on success, so a short grace wait distinguishes
-    silence from a bounce.
+    BrokerUnreachable when it cannot be reached at all.  A QoS 0 PUBLISH
+    gets no answer of its own, so a PINGREQ follows it: the edge broker
+    handles one connection's packets in order, so a redirect arrives
+    before the PINGRESP.
     """
     validate_topic(topic)
     if qos not in (0, 1):
         raise ValueError(f"qos must be 0 or 1, got {qos}")
-    conn = dial(broker, client_id or f"pub-{next(_session_ids)}", timeout,
+    conn = dial(broker, client_id or _fresh_id("pub"), timeout,
                 BrokerUnreachable)
     try:
         conn.send(Publish(topic, payload, qos=qos,
                           packet_id=1 if qos else None))
-        wait = timeout if qos else BOUNCE_GRACE_S
-        try:
-            reply = conn.recv(timeout=wait)
-        except TimeoutError:
-            if qos:
-                raise BrokerUnreachable(f"{broker}: no PUBACK") from None
-            reply = None  # silence means delivered
+        if not qos:
+            conn.send(PingReq())
+        reply = conn.recv(timeout=timeout)
         if isinstance(reply, Disconnect):
             raise Redirected(reply.server_reference)
-        if qos and not isinstance(reply, PubAck):
-            raise BrokerUnreachable(f"{broker}: expected PUBACK, got {reply!r}")
+        if not isinstance(reply, PubAck if qos else PingResp):
+            raise BrokerUnreachable(f"{broker}: unexpected reply {reply!r}")
         try:
             conn.send(Disconnect(Reason.NORMAL))
         except ConnectionClosed:
             pass
-    except (ConnectionClosed, MalformedPacket) as exc:
+    except (ConnectionClosed, MalformedPacket, TimeoutError) as exc:
         raise BrokerUnreachable(f"{broker}: {exc}") from exc
     finally:
         conn.close()
@@ -347,10 +322,25 @@ def transparent_publish(master: BrokerRef, topic: str, payload: bytes, *,
     master knows no home for the topic.
     """
     validate_topic(topic)
-    target = _ask_master(master, f"pub-{next(_session_ids)}",
-                         Publish(topic, payload, qos=0), topic, timeout)
-    publish(target, topic, payload, qos=qos, timeout=timeout)
-    return target
+    ask = functools.partial(_ask_master, master, _fresh_id("pub"),
+                            Publish(topic, payload, qos=0), topic, timeout)
+    return _until_reachable(ask, lambda target: publish(
+        target, topic, payload, qos=qos, timeout=timeout))[0]
+
+
+def _until_reachable(ask: Callable[[], BrokerRef],
+                     use: Callable[[BrokerRef], object]) -> tuple:
+    """use(ask()), asking again while the named broker is unreachable,
+    up to RESOLVE_ROUNDS answers.  Each ask repeats one question under
+    one client id: that is how the master learns an answer was stale."""
+    for round_ in range(1, RESOLVE_ROUNDS + 1):
+        ref = ask()
+        try:
+            return ref, use(ref)
+        except BrokerUnreachable as exc:
+            if round_ == RESOLVE_ROUNDS:
+                raise
+            logger.debug("redirect target %s gone: %s", ref, exc)
 
 
 def _ask_master(master: BrokerRef, client_id: str, request: Packet,

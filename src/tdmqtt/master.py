@@ -15,7 +15,6 @@ import functools
 import logging
 import socket
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -40,6 +39,7 @@ from .stream import PacketConnection, Server, dial, serve_mqtt
 logger = logging.getLogger(__name__)
 
 _PROBE_WORKERS = 32
+_ANSWERS_CAP = 4096  # clients whose last redirect the master remembers
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class DiscoveryConfig:
     addresses: tuple[str, ...] = ()
     broker_port: int = 1883
     timeout: float = 0.25        # per-address TCP probe budget
-    listen_window: float = 0.5   # census upper bound per broker
+    listen_window: float = 0.5   # longest silence a census waits out
     refresh_period: float = 30.0
 
     def __post_init__(self):
@@ -104,23 +104,22 @@ class Registry:
         return len(self.topics_by_broker)
 
 
-def _accepts_tcp(ref: BrokerRef, timeout: float) -> bool:
-    """The TCP reachability probe: does anything accept on ref?"""
-    try:
-        with socket.create_connection((ref.host, ref.port), timeout=timeout):
-            return True
-    except OSError:
-        return False
-
-
 def broker_discovery(config: DiscoveryConfig) -> list[BrokerRef]:
     """Probe every configured address; keep those that accept TCP."""
     if not config.addresses:
         return []
     refs = [BrokerRef(host, config.broker_port) for host in config.addresses]
-    workers = min(_PROBE_WORKERS, len(refs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        up = list(pool.map(lambda ref: _accepts_tcp(ref, config.timeout), refs))
+
+    def accepts_tcp(ref: BrokerRef) -> bool:
+        try:
+            with socket.create_connection((ref.host, ref.port),
+                                          timeout=config.timeout):
+                return True
+        except OSError:
+            return False
+
+    with ThreadPoolExecutor(max_workers=min(_PROBE_WORKERS, len(refs))) as pool:
+        up = list(pool.map(accepts_tcp, refs))
     return sorted((ref for ref, ok in zip(refs, up) if ok), key=str)
 
 
@@ -134,8 +133,9 @@ def topic_discovery(ref: BrokerRef, timeout: float,
     the next packet, so the PINGRESP marks the end of the replay.  That
     barrier relies on this broker's packet order: MQTT 5 does not make
     other brokers deliver retained messages before answering a PINGREQ.
-    listen_window is only the upper bound; when it expires first the
-    census keeps what it has and logs a warning.
+    listen_window bounds the silence between packets, not the whole
+    census; when a broker falls silent that long before its PINGRESP,
+    the census keeps what it has and logs a warning.
 
     The census connects with an empty client id, so the broker assigns
     a fresh one and concurrent censuses of one broker never evict each
@@ -151,10 +151,9 @@ def topic_discovery(ref: BrokerRef, timeout: float,
         suback = conn.recv(timeout=timeout)
         if not isinstance(suback, SubAck) or suback.reasons[0] != Reason.SUCCESS:
             raise BrokerUnreachable(f"{ref}: census subscription refused")
-        deadline = time.monotonic() + listen_window
         while True:
             try:
-                packet = conn.recv(timeout=max(0.0, deadline - time.monotonic()))
+                packet = conn.recv(timeout=listen_window)
             except TimeoutError:
                 logger.warning("census of %s: no PINGRESP within %gs, "
                                "keeping %d topic(s)", ref, listen_window,
@@ -219,6 +218,8 @@ class MasterBroker:
         self._sweeps_started = 0
         self._sweeps_done = 0
         self._registry = Registry()
+        # client id -> (filter, broker) of its last redirect
+        self._answers: dict[str, tuple[str, BrokerRef]] = {}
         self._server = Server(host)
         self._stop = threading.Event()
 
@@ -227,7 +228,7 @@ class MasterBroker:
     def start(self) -> "MasterBroker":
         self.refresh_registry()
         self._port = self._server.listen(self._port, functools.partial(
-            serve_mqtt, attach=lambda conn, connect: conn,
+            serve_mqtt, attach=lambda conn, connect: (conn, connect.client_id),
             handle=self._answer))
         self._server.spawn(self._refresh_loop)
         logger.info("master listening on %s, %d broker(s) registered",
@@ -292,34 +293,43 @@ class MasterBroker:
 
     # -- client side ----------------------------------------------------------
 
-    def _answer(self, conn: PacketConnection, packet: Packet) -> bool:
+    def _answer(self, session: tuple[PacketConnection, str],
+                packet: Packet) -> bool:
         """Answer one SUBSCRIBE or PUBLISH with a redirect; always hang up."""
+        conn, client_id = session
         if isinstance(packet, Subscribe):
             reasons, accepted = validate_filters(packet.filters)
             conn.send(SubAck(packet.packet_id, reasons))
-            conn.send(self._redirect_for(accepted))
+            conn.send(self._redirect_for(client_id, accepted))
         elif isinstance(packet, Publish):
-            conn.send(self._redirect_for([packet.topic]))
+            conn.send(self._redirect_for(client_id, [packet.topic]))
         return False
 
-    def _redirect_for(self, filters: list[str]) -> Disconnect:
+    def _redirect_for(self, client_id: str, filters: list[str]) -> Disconnect:
         """One redirect per request: the broker for the first filter we
         can place, after at most one registry rebuild.
 
-        The target is probed before it is handed out; a broker that died
-        since the last census forces the rebuild instead of bouncing the
-        client against a dead address.
+        No target is probed.  A client that asks again for the filter it
+        was last sent away for has bounced off that broker (it died, hung
+        or gave the topic up), so the rebuild comes before the first
+        look; otherwise only a miss rebuilds.
         """
         if not filters:
             return redirect(None)
-        for attempt in (False, True):
-            registry = self.refresh_registry() if attempt else self.registry
+        with self._lock:
+            last = self._answers.pop(client_id, None)
+        bounced = last is not None and last[0] in filters
+        for rebuild in (bounced, not bounced):
+            registry = self.refresh_registry() if rebuild else self.registry
             for filt in filters:
                 ref = registry.find(filt)
-                if ref is not None and self._alive(ref):
-                    logger.info("redirecting %r to %s", filt, ref)
+                if ref is not None:
+                    logger.info("redirecting %r to %s%s", filt, ref,
+                                f" (bounced off {last[1]})" if bounced else "")
+                    if client_id:
+                        with self._lock:  # newest last, oldest dropped
+                            self._answers[client_id] = (filt, ref)
+                            if len(self._answers) > _ANSWERS_CAP:
+                                del self._answers[next(iter(self._answers))]
                     return redirect(ref)
         return redirect(None)
-
-    def _alive(self, ref: BrokerRef) -> bool:
-        return _accepts_tcp(ref, self._discovery.timeout)

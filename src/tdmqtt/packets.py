@@ -12,7 +12,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-PROTOCOL_NAME = b"MQTT"
 PROTOCOL_LEVEL = 5
 
 # Packet type nibbles.
@@ -58,7 +57,7 @@ class Reason:
     SERVER_MOVED = 0x9D
 
 
-def is_redirect(reason: int) -> bool:
+def _is_redirect(reason: int) -> bool:
     """True for the two reason codes that may carry a server reference."""
     return reason in (Reason.USE_ANOTHER_SERVER, Reason.SERVER_MOVED)
 
@@ -493,7 +492,7 @@ def encode(packet: Packet) -> bytes:
 
     if isinstance(packet, Disconnect):
         reason = _check_reason(packet.reason, InvalidPacket)
-        if packet.server_reference is not None and not is_redirect(reason):
+        if packet.server_reference is not None and not _is_redirect(reason):
             raise InvalidPacket(
                 f"server reference not allowed with reason 0x{reason:02X}")
         props = b""
@@ -677,7 +676,7 @@ def _decode_disconnect(r: _Reader, remaining: int) -> Disconnect:
         props = _read_properties(r)
         ref_text = props.get("server_reference")
         if ref_text is not None:
-            if not is_redirect(reason):
+            if not _is_redirect(reason):
                 raise MalformedPacket(
                     f"server reference with non-redirect reason 0x{reason:02X}")
             try:

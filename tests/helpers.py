@@ -61,17 +61,15 @@ def wait_until(predicate, timeout: float = 5.0, interval: float = 0.01) -> None:
     raise AssertionError("condition not reached in %.1fs" % timeout)
 
 
-class SilentBroker:
-    """Completes handshakes, then never speaks again.
+class ScriptedBroker:
+    """Answers every CONNECT, then runs `script(conn)` on that connection.
 
-    Models a hung broker: the TCP connection stays open, pings go
-    unanswered.  Census requests get a topic list so a master will
-    happily register it.
+    Each connection gets its own thread; the connection closes when the
+    script returns or fails.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 topics: tuple[str, ...] = ()):
-        self._topics = topics
+    def __init__(self, script, host: str = "127.0.0.1", port: int = 0):
+        self._script = script
         self._listener = socket.socket()
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -110,19 +108,35 @@ class SilentBroker:
             if not isinstance(conn.recv(timeout=5), Connect):
                 return
             conn.send(ConnAck(Reason.SUCCESS))
-            packet = conn.recv(timeout=5)
-            if isinstance(packet, Subscribe):
-                conn.send(SubAck(packet.packet_id,
-                                 (Reason.SUCCESS,) * len(packet.filters)))
-                for topic in self._topics:
-                    conn.send(Publish(topic, b"", retain=True))
-            while True:  # the silence
-                if conn.recv() is None:
-                    return
+            self._script(conn)
         except Exception:
             pass
         finally:
             conn.close()
+
+
+class SilentBroker(ScriptedBroker):
+    """Completes handshakes, then never speaks again.
+
+    Models a hung broker: the TCP connection stays open, pings go
+    unanswered.  Census requests get a topic list so a master will
+    happily register it.
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0,
+                 topics: tuple[str, ...] = ()):
+        self._topics = topics
+        super().__init__(self._silence, host, port)
+
+    def _silence(self, conn):
+        packet = conn.recv(timeout=5)
+        if isinstance(packet, Subscribe):
+            conn.send(SubAck(packet.packet_id,
+                             (Reason.SUCCESS,) * len(packet.filters)))
+            for topic in self._topics:
+                conn.send(Publish(topic, b"", retain=True))
+        while conn.recv() is not None:
+            pass
 
 
 def admin_command(address: tuple[str, int], line: str) -> str:

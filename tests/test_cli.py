@@ -240,6 +240,18 @@ def finish(proc, timeout=5.0):
         raise
 
 
+def test_default_client_ids_differ_between_processes():
+    code = ("from tdmqtt.client import SubscriberSession\n"
+            "from tdmqtt.packets import BrokerRef\n"
+            "print(SubscriberSession(BrokerRef('127.0.0.1', 1), 't',"
+            " print).client_id)")
+    ids = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=10).stdout.strip()
+           for _ in range(2)]
+    assert ids[0] != ids[1]
+    assert all(i.startswith("sub-") for i in ids)
+
+
 def test_help_exits_0():
     proc = spawn("--help")
     assert finish(proc) == 0

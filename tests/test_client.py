@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from helpers import SilentBroker, wait_until
+from helpers import ScriptedBroker, SilentBroker, wait_until
 from tdmqtt import master as master_module
 from tdmqtt.client import (
     SessionState,
@@ -21,7 +21,7 @@ from tdmqtt.errors import (
     NoSuchTopic,
     Redirected,
 )
-from tdmqtt.packets import BrokerRef, MalformedFilter
+from tdmqtt.packets import BrokerRef, MalformedFilter, Publish, redirect
 
 
 class Sink:
@@ -169,6 +169,38 @@ def test_relocation_without_target_goes_back_to_master(make_fleet, make_master,
     wait_until(lambda: b"v3" in sink.payloads(), timeout=5)
 
 
+def test_unknown_target_relocation_needs_no_periodic_refresh(
+        make_fleet, make_master, sink, sessions):
+    brokers, port = make_fleet(2)
+    publish(brokers[0].address, "mv/w", b"v1")
+    master = make_master(addresses(3), port, refresh_period=30)
+    session = open_session(sessions, master, "mv/w", sink)
+    sink.wait(1)
+
+    publish(brokers[1].address, "mv/w", b"v2")
+    brokers[0].relocate_topic("mv/w", None)
+    # the re-ask, not the census 30 s away, tells the master to look again
+    wait_until(lambda: session.broker == brokers[1].address, timeout=2.0)
+
+
+def test_open_passes_over_a_censused_broker_that_hung(make_fleet, make_master,
+                                                      sink, sessions):
+    brokers, port = make_fleet(2)
+    for broker in brokers:
+        publish(broker.address, "hung/t", b"v")
+    master = make_master(addresses(3), port)
+    brokers[0].stop()
+    with socket.socket() as hung:  # the kernel accepts; nobody ever answers
+        hung.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        hung.bind((brokers[0].address.host, port))
+        hung.listen(8)
+        session = SubscriberSession(master.address, "hung/t", sink,
+                                    timeout=0.5)
+        sessions.append(session)
+        session.open()
+    assert session.broker == brokers[1].address
+
+
 def test_relocation_chain_is_followed(make_fleet, make_master, sink, sessions):
     brokers, port = make_fleet(3)
     publish(brokers[0].address, "hop", b"v1")
@@ -259,6 +291,40 @@ def test_transparent_publish_lands_on_the_right_broker(make_fleet,
     assert target == brokers[1].address
     conn_topics = brokers[1].topics()
     assert "tp" in conn_topics
+
+
+def test_transparent_publish_re_asks_when_its_broker_is_gone(make_fleet,
+                                                           make_master):
+    brokers, port = make_fleet(2)
+    for broker in brokers:
+        publish(broker.address, "tp/moving", b"seed")
+    master = make_master(addresses(3), port)
+    brokers[0].stop()  # the registry still names it first
+    target = transparent_publish(master.address, "tp/moving", b"routed")
+    assert target == brokers[1].address
+
+
+def test_qos0_publish_reads_a_late_redirect():
+    def late_redirect(conn):
+        if isinstance(conn.recv(timeout=5), Publish):
+            time.sleep(0.3)
+            conn.send(redirect(None))
+
+    peer = ScriptedBroker(late_redirect)
+    try:
+        with pytest.raises(Redirected) as info:
+            publish(peer.address, "late", b"v")
+    finally:
+        peer.stop()
+    assert info.value.reference is None
+
+
+def test_healthy_qos0_publish_does_not_wait(make_fleet):
+    brokers, _ = make_fleet(1)
+    started = time.monotonic()
+    publish(brokers[0].address, "quick", b"v")
+    assert time.monotonic() - started < 0.1
+    assert "quick" in brokers[0].topics()
 
 
 def test_transparent_publish_unknown_topic(make_fleet, make_master):

@@ -1,6 +1,7 @@
 """Master broker: discovery sweep, per-broker topic census, redirects."""
 
 import logging
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import SilentBroker, connect, subscribe, wait_until
+from helpers import ScriptedBroker, SilentBroker, connect, subscribe, wait_until
 from test_topics import filter_st, name_st
 from tdmqtt import master as master_module
 from tdmqtt.client import transparent_subscribe
@@ -106,6 +107,28 @@ def test_census_without_pingresp_stops_at_the_window(caplog):
     assert elapsed >= 0.3
     assert any(r.levelno == logging.WARNING and "no PINGRESP" in r.getMessage()
                for r in caplog.records)
+
+
+def test_census_window_bounds_the_silence_not_the_replay(caplog):
+    topics = {f"slow/{i}" for i in range(10)}
+
+    def slow_replay(conn):
+        sub = conn.recv(timeout=5)
+        conn.send(SubAck(sub.packet_id, (Reason.SUCCESS,)))
+        for topic in sorted(topics):  # 0.4 s in all, 40 ms apart
+            time.sleep(0.04)
+            conn.send(Publish(topic, b"x", retain=True))
+        if conn.recv(timeout=5) == PingReq():
+            conn.send(PingResp())
+        conn.recv(timeout=5)
+
+    slow = ScriptedBroker(slow_replay)
+    try:
+        found = topic_discovery(slow.address, 0.5, listen_window=0.25)
+    finally:
+        slow.stop()
+    assert found == topics
+    assert not any("no PINGRESP" in r.getMessage() for r in caplog.records)
 
 
 def test_census_does_not_evict_a_client_with_its_old_id(broker):
@@ -325,3 +348,97 @@ def test_concurrent_misses_share_registry_sweeps(make_fleet, make_master,
         errors = list(pool.map(miss, range(clients)))
     assert all(isinstance(e, NoSuchTopic) for e in errors), errors
     assert len(sweeps) <= 2, f"{len(sweeps)} sweeps for {clients} misses"
+
+
+# --- bounces: a client asking again means the last answer was stale ---------
+
+def ask(master, client_id, filt):
+    conn = connect(master.address, client_id)
+    subscribe(conn, filt)
+    answer = conn.recv(timeout=2)
+    conn.close()
+    return answer
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    counted = []
+    probe = master_module.broker_discovery
+
+    def counted_probe(config):
+        counted.append(config)
+        return probe(config)
+
+    monkeypatch.setattr(master_module, "broker_discovery", counted_probe)
+    return counted
+
+
+def test_a_repeated_request_rebuilds_the_registry_first(make_fleet, make_master,
+                                                        sweeps):
+    brokers, port = make_fleet(2)
+    seed(brokers[0], "t")
+    seed(brokers[0], "u")
+    master = make_master(addresses(3), port)
+    sweeps.clear()  # the start-up sweep
+    to_first = Disconnect(Reason.USE_ANOTHER_SERVER, brokers[0].address)
+    assert ask(master, "c1", "t") == to_first
+    assert ask(master, "c2", "t") == to_first  # another client
+    assert ask(master, "c1", "u") == to_first  # another filter
+    assert sweeps == []
+
+    # the topic moves house and its old home knows no forwarding address;
+    # only c1 coming back with the same filter tells the master
+    seed(brokers[1], "u")
+    brokers[0].relocate_topic("u", None)
+    assert ask(master, "c1", "u") == Disconnect(Reason.USE_ANOTHER_SERVER,
+                                                brokers[1].address)
+    assert len(sweeps) == 1
+
+
+def test_a_redirect_opens_no_connection_to_its_target(make_fleet, make_master):
+    brokers, port = make_fleet(1)
+    seed(brokers[0], "t")
+    master = make_master(addresses(2), port)
+    before = brokers[0]._server.connection_count
+    transparent_subscribe(master.address, "t", lambda packet: None).close()
+    assert brokers[0]._server.connection_count == before + 1  # the attach
+
+
+def test_the_answer_map_never_exceeds_its_cap(make_fleet, make_master,
+                                              monkeypatch):
+    brokers, port = make_fleet(1)
+    seed(brokers[0], "t")
+    master = make_master(addresses(2), port)
+    monkeypatch.setattr(master_module, "_ANSWERS_CAP", 3)
+    for i in range(8):
+        ask(master, f"c{i}", "t")
+        assert len(master._answers) <= 3
+    assert list(master._answers) == ["c5", "c6", "c7"]  # the oldest went
+
+
+def test_the_answer_map_holds_under_concurrent_clients(make_fleet, make_master,
+                                                       monkeypatch):
+    brokers, port = make_fleet(1)
+    seed(brokers[0], "t")
+    master = make_master(addresses(2), port)
+    monkeypatch.setattr(master_module, "_ANSWERS_CAP", 4)
+    answers = []
+
+    def client(n):
+        for i in range(15):
+            answers.append(ask(master, f"c{n}-{i}", "t"))
+
+    workers = [threading.Thread(target=client, args=(n,)) for n in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert answers == [Disconnect(Reason.USE_ANOTHER_SERVER,
+                                  brokers[0].address)] * 90
+    assert len(master._answers) == 4
