@@ -154,21 +154,24 @@ class EdgeBroker:
         """Returns False when the session was redirected and must close."""
         reasons, accepted = validate_filters(sub.filters)
         wildcards = [f for f in accepted if f.endswith("#")]
-        with self._lock:
-            for filt in accepted:
-                session.filters.add(filt)
-                self._subscribers.setdefault(filt, set()).add(session)
-            replay = {f for f in accepted if f in self._messages}
-            if wildcards:  # only a '#' filter walks the message table
-                replay.update(
-                    topic for topic in self._messages
-                    if any(topic_matches(f, topic) for f in wildcards))
-            snapshot = [(t, *self._messages[t]) for t in sorted(replay)]
-            notice = next((self._relocations[f] for f in accepted
-                           if f in self._relocations), None)
-        session.conn.send(SubAck(sub.packet_id, reasons))
-        for topic, payload, qos in snapshot:
-            self._deliver(session, topic, payload, qos, retain=True)
+        # Routed publishes wait until the SUBACK and the replay are out;
+        # the send lock is taken first, never while holding self._lock.
+        with session.conn.send_lock:
+            with self._lock:
+                for filt in accepted:
+                    session.filters.add(filt)
+                    self._subscribers.setdefault(filt, set()).add(session)
+                replay = {f for f in accepted if f in self._messages}
+                if wildcards:  # only a '#' filter walks the message table
+                    replay.update(
+                        topic for topic in self._messages
+                        if any(topic_matches(f, topic) for f in wildcards))
+                snapshot = [(t, *self._messages[t]) for t in sorted(replay)]
+                notice = next((self._relocations[f] for f in accepted
+                               if f in self._relocations), None)
+            session.conn.send(SubAck(sub.packet_id, reasons))
+            for topic, payload, qos in snapshot:
+                self._deliver(session, topic, payload, qos, retain=True)
         if notice is not None:
             session.conn.send(notice)
             return False

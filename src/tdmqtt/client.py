@@ -70,19 +70,20 @@ class SubscriberSession:
 
     `events()` is the session's audit trail: (kind, detail) tuples in
     order, where kind is one of resolve / redirect / attach / moved /
-    lost / message / closed.  Every broker address the session ever
-    dials shows up in a redirect or moved event first; nothing else
-    tells it where brokers live.
+    lost / message / closed.  A message event marks an attachment's
+    first delivery only, so the trail grows with attachments, not with
+    traffic.  Every broker address the session ever dials shows up in a
+    redirect or moved event first; nothing else tells it where brokers
+    live.
     """
 
     def __init__(self, master: BrokerRef, topic_filter: str,
                  on_message: Callable[[Publish], None], *,
-                 client_id: str = "", keepalive: float = 10.0,
-                 timeout: float = 2.0):
+                 keepalive: float = 10.0, timeout: float = 2.0):
         self.master = master
         self.topic_filter = topic_filter
         self.on_message = on_message
-        self.client_id = client_id or _fresh_id("sub")
+        self.client_id = _fresh_id("sub")
         self.keepalive = keepalive
         self.timeout = timeout
         self.state = SessionState.RESOLVING
@@ -200,6 +201,7 @@ class SubscriberSession:
         """Serve one attachment until it ends; returns the broker its
         closing DISCONNECT names, or None (no name, or the line was lost)."""
         self._set_conn(conn)
+        delivered = False
         try:
             while not self._stop.is_set():
                 try:
@@ -213,7 +215,9 @@ class SubscriberSession:
                 if isinstance(packet, Publish):
                     if packet.qos == 1:
                         conn.send(PubAck(packet.packet_id))
-                    self._note("message", packet.topic)
+                    if not delivered:
+                        self._note("message", packet.topic)
+                        delivered = True
                     self.on_message(packet)
                 elif isinstance(packet, Disconnect):
                     # a target, or shutdown / unknown destination / odd reason
@@ -270,17 +274,16 @@ class SubscriberSession:
 
 def transparent_subscribe(master: BrokerRef, topic_filter: str,
                           on_message: Callable[[Publish], None], *,
-                          client_id: str = "", keepalive: float = 10.0,
+                          keepalive: float = 10.0,
                           timeout: float = 2.0) -> SubscriberSession:
     """Subscribe knowing only the master and the topic filter; blocks
     as SubscriberSession.open() does."""
     return SubscriberSession(master, topic_filter, on_message,
-                             client_id=client_id, keepalive=keepalive,
-                             timeout=timeout).open()
+                             keepalive=keepalive, timeout=timeout).open()
 
 
 def publish(broker: BrokerRef, topic: str, payload: bytes, *, qos: int = 0,
-            client_id: str = "", timeout: float = 2.0) -> None:
+            timeout: float = 2.0) -> None:
     """One-shot publish straight to a broker.
 
     Raises Redirected when the broker reports the topic has moved, and
@@ -292,8 +295,7 @@ def publish(broker: BrokerRef, topic: str, payload: bytes, *, qos: int = 0,
     validate_topic(topic)
     if qos not in (0, 1):
         raise ValueError(f"qos must be 0 or 1, got {qos}")
-    conn = dial(broker, client_id or _fresh_id("pub"), timeout,
-                BrokerUnreachable)
+    conn = dial(broker, _fresh_id("pub"), timeout, BrokerUnreachable)
     try:
         conn.send(Publish(topic, payload, qos=qos,
                           packet_id=1 if qos else None))

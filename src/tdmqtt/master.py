@@ -48,7 +48,7 @@ class DiscoveryConfig:
 
     addresses: tuple[str, ...] = ()
     broker_port: int = 1883
-    timeout: float = 0.25        # per-address TCP probe budget
+    timeout: float = 0.25        # per address: TCP probe, census CONNACK, SUBACK
     listen_window: float = 0.5   # longest silence a census waits out
     refresh_period: float = 30.0
 
@@ -65,7 +65,8 @@ class Registry:
 
     Construction indexes every filter that can match a hosted topic (see
     packets.matching_filters) to the first broker, in address order,
-    hosting such a topic, so find() is one dict lookup.
+    hosting such a topic, so find() is one dict lookup.  Address order
+    is 'host:port' string order: 127.0.0.10 sorts before 127.0.0.2.
     """
 
     topics_by_broker: dict[BrokerRef, frozenset[str]] = field(default_factory=dict)
@@ -183,9 +184,9 @@ def topic_discovery(ref: BrokerRef, timeout: float,
 def census_sweep(config: DiscoveryConfig) -> dict[BrokerRef, frozenset[str]]:
     """Probe the fleet, then census every broker found, in parallel.
 
-    Returns each answering broker's topics in address order.  A broker
-    that dies between probe and census just drops out; one broker's
-    failure never aborts the rest of the sweep.
+    Returns each answering broker's topics in 'host:port' string order.
+    A broker that dies between probe and census just drops out; one
+    broker's failure never aborts the rest of the sweep.
     """
     refs = broker_discovery(config)
     if not refs:
@@ -212,11 +213,10 @@ class MasterBroker:
         self._discovery = discovery
         self._host = host
         self._port = port
-        self._lock = threading.RLock()
-        self._refreshed = threading.Condition(self._lock)
-        self._sweeping = False
-        self._sweeps_started = 0
-        self._sweeps_done = 0
+        self._lock = threading.Lock()
+        self._sweep_lock = threading.Lock()  # held for a whole sweep
+        self._sweeps = 0  # sweeps started
+        self._fresh = 0   # the number of the last sweep that returned
         self._registry = Registry()
         # client id -> (filter, broker) of its last redirect
         self._answers: dict[str, tuple[str, BrokerRef]] = {}
@@ -259,30 +259,23 @@ class MasterBroker:
         """Probe, census every reachable broker, swap in the new snapshot.
 
         Single-flight: concurrent callers share one sweep, and every
-        caller gets the result of a sweep that started after it called.
-        So N concurrent misses cost at most two sweeps, not N.
+        caller gets the result of a sweep that started after it called,
+        so N concurrent misses cost at most two sweeps.  A sweep that
+        finds what the installed snapshot holds keeps it, index and all.
         """
-        with self._refreshed:
-            wanted = self._sweeps_started + 1
-            while self._sweeping and self._sweeps_done < wanted:
-                self._refreshed.wait()
-            if self._sweeps_done >= wanted:
-                return self._registry
-            self._sweeping = True
-            self._sweeps_started += 1
-        try:
-            entries = census_sweep(self._discovery)
-            registry = Registry(entries)
-            with self._refreshed:
-                self._registry = registry
-                self._sweeps_done = self._sweeps_started
-        finally:
-            with self._refreshed:
-                self._sweeping = False
-                self._refreshed.notify_all()
-        logger.info("registry refreshed: %s",
-                    {str(r): len(t) for r, t in entries.items()} or "empty")
-        return registry
+        ticket = self._sweeps
+        with self._sweep_lock:
+            if self._fresh <= ticket:  # none begun since our call has returned
+                self._sweeps += 1
+                entries = census_sweep(self._discovery)
+                if entries != self._registry.topics_by_broker:
+                    registry = Registry(entries)
+                    with self._lock:
+                        self._registry = registry
+                self._fresh = self._sweeps
+                logger.info("registry refreshed: %s", {
+                    str(r): len(t) for r, t in entries.items()} or "empty")
+        return self.registry
 
     def _refresh_loop(self) -> None:
         while not self._stop.wait(self._discovery.refresh_period):

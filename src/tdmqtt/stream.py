@@ -39,15 +39,16 @@ class PacketConnection:
     """One MQTT conversation over a TCP socket.
 
     recv() returns whole packets; send() is safe to call from multiple
-    threads.  A clean EOF on a packet boundary reads as None, an EOF in
-    the middle of a packet raises ConnectionClosed.
+    threads, and a thread holding `send_lock` keeps others' packets out
+    until it lets go.  A clean EOF on a packet boundary reads as None,
+    an EOF in the middle of a packet raises ConnectionClosed.
     """
 
     def __init__(self, sock: socket.socket):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._buf = bytearray()
-        self._send_lock = threading.Lock()
+        self.send_lock = threading.RLock()
         try:
             self.peer = "%s:%d" % sock.getpeername()[:2]
         except OSError:
@@ -55,7 +56,7 @@ class PacketConnection:
 
     def send(self, packet: Packet) -> None:
         data = encode(packet)
-        with self._send_lock:
+        with self.send_lock:
             try:
                 self._sock.sendall(data)
             except OSError as exc:

@@ -9,7 +9,8 @@ import pytest
 
 from helpers import admin_command, connect, drain, subscribe, wait_until
 from tdmqtt.broker import EdgeBroker
-from tdmqtt.errors import ConnectionClosed
+from tdmqtt.errors import BrokerUnreachable, ConnectionClosed
+from tdmqtt.master import topic_discovery
 from tdmqtt.packets import (
     BrokerRef,
     Connect,
@@ -235,6 +236,44 @@ def test_routing_index_survives_concurrent_churn(broker):
     subscribe(live, "s/x")
     wait_until(lambda: broker._subscribers.keys() == {"s/x"})
     assert len(broker._subscribers["s/x"]) == 1
+
+
+def test_a_routed_publish_never_overtakes_the_suback(broker):
+    """Publishers flood one topic while censuses and raw subscribers
+    subscribe to it; each must see its SUBACK before any PUBLISH."""
+    stop = threading.Event()
+
+    def flood():
+        pub = connect(broker.address, "")
+        while not stop.is_set():
+            pub.send(Publish("hot", b"v"))
+        pub.close()
+
+    refused = overtaken = 0
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    flooders = [threading.Thread(target=flood) for _ in range(3)]
+    try:
+        for f in flooders:
+            f.start()
+        wait_until(lambda: "hot" in broker.topics())
+        for _ in range(100):
+            try:
+                topic_discovery(broker.address, 2.0, 0.5)
+            except BrokerUnreachable:
+                refused += 1
+        for _ in range(100):
+            conn = connect(broker.address, "")
+            conn.send(Subscribe(1, ("hot",)))
+            overtaken += not isinstance(conn.recv(timeout=2), SubAck)
+            conn.close()
+    finally:
+        stop.set()
+        for f in flooders:
+            f.join(timeout=10)
+        sys.setswitchinterval(old_interval)
+    assert not any(f.is_alive() for f in flooders)
+    assert (refused, overtaken) == (0, 0)
 
 
 # --- relocation -------------------------------------------------------------

@@ -85,6 +85,21 @@ def test_subscribe_knowing_only_the_master(make_fleet, make_master, sink,
     assert kinds[:3] == ["resolve", "redirect", "attach"]
 
 
+def test_the_trail_grows_with_attachments_not_messages(make_fleet,
+                                                       make_master, sink,
+                                                       sessions):
+    brokers, port = make_fleet(1)
+    publish(brokers[0].address, "busy", b"0")
+    master = make_master(addresses(2), port)
+    session = open_session(sessions, master, "busy", sink)
+    for i in range(1, 501):
+        publish(brokers[0].address, "busy", str(i).encode())
+    assert sink.wait(501)[-1].payload == b"500"
+    assert len(session.events()) < 10
+    assert [kind for kind, _ in session.events()] == [
+        "resolve", "redirect", "attach", "message"]
+
+
 def test_unknown_topic_raises_before_returning(make_fleet, make_master, sink,
                                                sessions):
     _, port = make_fleet(1)

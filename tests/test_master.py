@@ -227,6 +227,65 @@ def test_resolve_with_refresh_sees_late_topics(make_fleet, make_master):
     assert master.refresh_registry().find("born/late") == brokers[0].address
 
 
+def test_an_unchanged_sweep_keeps_the_installed_registry(make_fleet,
+                                                         make_master):
+    brokers, port = make_fleet(2)
+    seed(brokers[0], "a/b")
+    master = make_master(addresses(3), port)
+    installed = master.registry
+    assert master.refresh_registry() is installed
+    seed(brokers[1], "c")
+    assert master.refresh_registry() is not installed
+
+
+def test_a_failed_sweep_lets_the_next_waiter_run_its_own(make_fleet,
+                                                         make_master,
+                                                         monkeypatch):
+    """Two callers queue behind a running sweep; the one that sweeps
+    next fails, so the other must run a sweep of its own."""
+    brokers, port = make_fleet(1)
+    master = make_master(addresses(2), port)
+    calls = []
+    release = threading.Event()
+    sweep = master_module.census_sweep
+
+    def second_one_fails(config):
+        calls.append(config)
+        if len(calls) == 1:
+            release.wait(timeout=5)
+        elif len(calls) == 2:
+            seed(brokers[0], "seeded/meanwhile")
+            raise RuntimeError("sweep failed")
+        return sweep(config)
+
+    monkeypatch.setattr(master_module, "census_sweep", second_one_fails)
+    results = {}
+
+    def refresh(name):
+        try:
+            results[name] = master.refresh_registry()
+        except RuntimeError as exc:
+            results[name] = exc
+
+    callers = [threading.Thread(target=refresh, args=(name,))
+               for name in ("running", "a", "b")]
+    callers[0].start()
+    wait_until(lambda: calls)
+    callers[1].start()
+    callers[2].start()
+    time.sleep(0.1)  # both now wait behind the running sweep
+    release.set()
+    for caller in callers:
+        caller.join(timeout=5)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results["running"].find("seeded/meanwhile") is None
+    failed = [n for n in "ab" if isinstance(results[n], RuntimeError)]
+    assert len(failed) == 1
+    survivor = results["b" if failed == ["a"] else "a"]
+    assert survivor.find("seeded/meanwhile") == brokers[0].address
+    assert len(calls) == 3
+
+
 # --- wire protocol ----------------------------------------------------------
 
 def test_subscribe_is_answered_with_a_redirect(make_fleet, make_master):
