@@ -74,7 +74,8 @@ class SubscriberSession:
     first delivery only, so the trail grows with attachments, not with
     traffic.  Every broker address the session ever dials shows up in a
     redirect or moved event first; nothing else tells it where brokers
-    live.
+    live.  `timeline()` is the same trail with the time.monotonic() of
+    each event in front: (t, kind, detail).
     """
 
     def __init__(self, master: BrokerRef, topic_filter: str,
@@ -89,7 +90,7 @@ class SubscriberSession:
         self.state = SessionState.RESOLVING
         self.error: Exception | None = None
         self.broker: BrokerRef | None = None
-        self._history: list[tuple[str, str]] = []
+        self._history: list[tuple[float, str, str]] = []
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._conn: PacketConnection | None = None
@@ -100,6 +101,10 @@ class SubscriberSession:
     # -- public surface ------------------------------------------------------
 
     def events(self) -> list[tuple[str, str]]:
+        with self._lock:
+            return [(kind, detail) for _, kind, detail in self._history]
+
+    def timeline(self) -> list[tuple[float, str, str]]:
         with self._lock:
             return list(self._history)
 
@@ -137,7 +142,7 @@ class SubscriberSession:
 
     def _note(self, kind: str, detail: str = "") -> None:
         with self._lock:
-            self._history.append((kind, detail))
+            self._history.append((time.monotonic(), kind, detail))
 
     def _set_conn(self, conn: PacketConnection | None) -> None:
         with self._lock:

@@ -33,6 +33,7 @@ logger = logging.getLogger(__name__)
 
 _CHUNK = 4096
 HANDSHAKE_TIMEOUT = 10.0
+MAX_PACKET_SIZE = 1 << 20  # bytes; a larger declared packet ends the connection
 
 
 class PacketConnection:
@@ -66,15 +67,22 @@ class PacketConnection:
         """Read one packet, or None on clean EOF.
 
         `timeout` bounds the whole wait; expiry raises TimeoutError with
-        any partial bytes kept for the next call.
+        any partial bytes kept for the next call.  A packet whose fixed
+        header declares more than MAX_PACKET_SIZE bytes raises
+        MalformedPacket before its body is buffered.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if self._buf:
                 try:
                     packet, used = decode(self._buf)
-                except IncompletePacket:
-                    pass
+                except IncompletePacket as exc:
+                    if exc.needed is not None \
+                            and len(self._buf) + exc.needed > MAX_PACKET_SIZE:
+                        raise MalformedPacket(
+                            f"{self.peer} declared a packet of "
+                            f"{len(self._buf) + exc.needed} bytes, over "
+                            f"{MAX_PACKET_SIZE}") from None
                 else:
                     del self._buf[:used]
                     return packet

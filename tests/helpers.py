@@ -52,6 +52,22 @@ def drain(conn: PacketConnection, timeout: float = 0.3) -> list:
         got.append(packet)
 
 
+def count_calls(monkeypatch, module, name: str, before=None) -> list:
+    """Wrap module.name so each call appends its positional arguments to
+    the returned list; `before(*args)`, if given, runs ahead of the call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if before is not None:
+            before(*args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def wait_until(predicate, timeout: float = 5.0, interval: float = 0.01) -> None:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:

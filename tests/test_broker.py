@@ -22,6 +22,7 @@ from tdmqtt.packets import (
     Reason,
     SubAck,
     Subscribe,
+    encode_varint,
 )
 from tdmqtt.stream import open_connection
 
@@ -274,6 +275,28 @@ def test_a_routed_publish_never_overtakes_the_suback(broker):
         sys.setswitchinterval(old_interval)
     assert not any(f.is_alive() for f in flooders)
     assert (refused, overtaken) == (0, 0)
+
+
+def test_an_oversized_packet_ends_its_connection_before_it_is_buffered(
+        broker):
+    greedy = connect(broker.address, "greedy")
+    declared = encode_varint(200 * 1024 * 1024)
+    greedy._sock.sendall(bytes([0x30]) + declared + bytes(8192))
+    try:
+        assert greedy.recv(timeout=2) is None  # the broker hung up
+    except ConnectionClosed:
+        pass  # or reset the connection with our bytes still unread
+    finally:
+        greedy.close()
+    sub = connect(broker.address, "sub")
+    pub = connect(broker.address, "pub")
+    try:
+        subscribe(sub, "still/serving")
+        pub.send(Publish("still/serving", b"yes"))
+        assert sub.recv(timeout=2) == Publish("still/serving", b"yes")
+    finally:
+        sub.close()
+        pub.close()
 
 
 # --- relocation -------------------------------------------------------------

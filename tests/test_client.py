@@ -100,6 +100,24 @@ def test_the_trail_grows_with_attachments_not_messages(make_fleet,
         "resolve", "redirect", "attach", "message"]
 
 
+def test_the_timeline_stamps_the_trail_with_monotonic_times(
+        make_fleet, make_master, sink, sessions):
+    brokers, port = make_fleet(1)
+    publish(brokers[0].address, "timed", b"v")
+    master = make_master(addresses(2), port)
+    before = time.monotonic()
+    session = open_session(sessions, master, "timed", sink)
+    sink.wait(1)
+    after = time.monotonic()
+    timeline = session.timeline()
+    assert [(kind, detail) for _, kind, detail in timeline] \
+        == session.events()
+    assert [kind for _, kind, _ in timeline] == [
+        "resolve", "redirect", "attach", "message"]
+    times = [t for t, _, _ in timeline]
+    assert before <= times[0] and times == sorted(times) and times[-1] <= after
+
+
 def test_unknown_topic_raises_before_returning(make_fleet, make_master, sink,
                                                sessions):
     _, port = make_fleet(1)

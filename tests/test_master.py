@@ -9,7 +9,14 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import ScriptedBroker, SilentBroker, connect, subscribe, wait_until
+from helpers import (
+    ScriptedBroker,
+    SilentBroker,
+    connect,
+    count_calls,
+    subscribe,
+    wait_until,
+)
 from test_topics import filter_st, name_st
 from tdmqtt import master as master_module
 from tdmqtt.client import transparent_subscribe
@@ -24,6 +31,7 @@ from tdmqtt.packets import (
     Reason,
     Subscribe,
     SubAck,
+    matching_filters,
     topic_matches,
 )
 
@@ -184,11 +192,11 @@ def linear_find(reg: Registry, filt: str) -> BrokerRef | None:
 
 REFS = [BrokerRef(f"127.0.0.{i}", port) for i in (1, 2, 10) for port in (1883, 1884)]
 SHARED = ["a", "a/b", "a/b/c", "ab", "b/a", "/a", "a/"]
-registry_st = st.dictionaries(
-    st.sampled_from(REFS),
-    st.frozensets(st.one_of(st.sampled_from(SHARED), name_st), max_size=6),
-    max_size=len(REFS),
-).map(Registry)
+topics_st = st.frozensets(st.one_of(st.sampled_from(SHARED), name_st),
+                          max_size=6)
+entries_st = st.dictionaries(st.sampled_from(REFS), topics_st,
+                             max_size=len(REFS))
+registry_st = entries_st.map(Registry)
 
 
 @settings(max_examples=300)
@@ -197,6 +205,30 @@ registry_st = st.dictionaries(
 @example(Registry({REFS[0]: frozenset(), REFS[1]: frozenset({"b"})}), "#")
 def test_registry_find_agrees_with_a_linear_scan(reg, filt):
     assert reg.find(filt) == linear_find(reg, filt)
+
+
+@settings(max_examples=300)
+@given(entries_st, st.sampled_from(REFS), st.none() | topics_st, filter_st)
+def test_a_registry_built_on_another_finds_what_a_fresh_one_does(
+        entries, ref, topics, filt):
+    """One edit: replace a broker's topics, add a broker, or (None) drop one."""
+    edited = {r: t for r, t in entries.items() if r != ref}
+    if topics is not None:
+        edited[ref] = topics
+    reused, fresh = Registry(edited, Registry(entries)), Registry(edited)
+    hosted = set().union(*edited.values(), *entries.values())
+    for f in {filt, *(f for t in hosted for f in matching_filters(t))}:
+        assert reused.find(f) == fresh.find(f) == linear_find(fresh, f), f
+
+
+def test_a_rebuilt_registry_reuses_an_unchanged_brokers_filter_set():
+    r1, r2, r3 = REFS[0], REFS[2], REFS[4]
+    old = Registry({r1: frozenset({"a/b"}), r2: frozenset({"c"})})
+    new = Registry({r1: frozenset({"a/b"}), r2: frozenset({"d"}),
+                    r3: frozenset({"c"})}, old)
+    assert new._filters[r1] is old._filters[r1]  # an equal, new frozenset
+    assert new._filters[r2] is not old._filters[r2]
+    assert (new.find("a/#"), new.find("c"), new.find("d")) == (r1, r3, r2)
 
 
 def test_master_builds_registry_on_start(make_fleet, make_master):
@@ -375,23 +407,25 @@ def test_master_answers_ping_and_counts_connections(make_fleet, make_master):
     assert master.connection_count == before + 1
 
 
+def hold_until_connected(master, clients):
+    """A `before` hook for count_calls: hold the first call until `clients`
+    more connections are in, so that every request overlaps it."""
+    connected = master.connection_count + clients
+
+    def hold(*args):
+        wait_until(lambda: master.connection_count >= connected, timeout=2.0)
+        time.sleep(0.1)
+
+    return hold
+
+
 def test_concurrent_misses_share_registry_sweeps(make_fleet, make_master,
                                                  monkeypatch):
     _, port = make_fleet(1)
     master = make_master(addresses(2), port)
     clients = 8
-    connected = master.connection_count + clients
-    sweeps = []
-    probe = master_module.broker_discovery
-
-    def counted_probe(config):
-        sweeps.append(config)
-        # hold the first sweep until every client is in, so all misses overlap
-        wait_until(lambda: master.connection_count >= connected, timeout=2.0)
-        time.sleep(0.1)
-        return probe(config)
-
-    monkeypatch.setattr(master_module, "broker_discovery", counted_probe)
+    sweeps = count_calls(monkeypatch, master_module, "broker_discovery",
+                         before=hold_until_connected(master, clients))
     start = threading.Barrier(clients)
 
     def miss(_):
@@ -421,15 +455,18 @@ def ask(master, client_id, filt):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    counted = []
-    probe = master_module.broker_discovery
+    return count_calls(monkeypatch, master_module, "broker_discovery")
 
-    def counted_probe(config):
-        counted.append(config)
-        return probe(config)
 
-    monkeypatch.setattr(master_module, "broker_discovery", counted_probe)
-    return counted
+@pytest.fixture
+def censuses(monkeypatch):
+    """The arguments of every topic_discovery call, sweeps' included;
+    `census_count(censuses, ref)` counts one broker's."""
+    return count_calls(monkeypatch, master_module, "topic_discovery")
+
+
+def census_count(censuses, ref):
+    return sum(args[0] == ref for args in censuses)
 
 
 def test_a_repeated_request_rebuilds_the_registry_first(make_fleet, make_master,
@@ -452,6 +489,133 @@ def test_a_repeated_request_rebuilds_the_registry_first(make_fleet, make_master,
     assert ask(master, "c1", "u") == Disconnect(Reason.USE_ANOTHER_SERVER,
                                                 brokers[1].address)
     assert len(sweeps) == 1
+
+
+def test_a_stopped_host_costs_one_census_of_it_and_no_sweep(
+        make_fleet, make_master, sweeps, censuses):
+    brokers, port = make_fleet(2)
+    seed(brokers[0], "t")
+    seed(brokers[1], "t")
+    master = make_master(addresses(3), port)
+    sweeps.clear()
+    censuses.clear()
+    session = transparent_subscribe(master.address, "t", lambda packet: None,
+                                    keepalive=1.0, timeout=1.0)
+    try:
+        assert session.broker == brokers[0].address
+        brokers[0].stop()
+        wait_until(lambda: session.broker == brokers[1].address, timeout=8)
+    finally:
+        session.close()
+    assert ("attach", str(brokers[1].address)) in session.events()
+    assert census_count(censuses, brokers[0].address) == len(censuses) == 1
+    assert sweeps == []
+
+
+def test_an_unknown_target_relocation_costs_one_census_of_the_old_home(
+        make_fleet, make_master, sweeps, censuses, caplog):
+    brokers, port = make_fleet(2)
+    seed(brokers[0], "t")
+    seed(brokers[1], "t")
+    master = make_master(addresses(3), port)
+    sweeps.clear()
+    censuses.clear()
+    caplog.set_level(logging.INFO, logger=master_module.__name__)
+    session = transparent_subscribe(master.address, "t", lambda packet: None)
+    try:
+        assert session.broker == brokers[0].address
+        brokers[0].relocate_topic("t", None)
+        wait_until(lambda: session.broker == brokers[1].address, timeout=8)
+    finally:
+        session.close()
+    assert census_count(censuses, brokers[0].address) == len(censuses) == 1
+    assert sweeps == []
+    logged = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("bounce census")]
+    assert len(logged) == 1
+    assert logged[0].startswith(f"bounce census of {brokers[0].address} in ")
+    assert logged[0].endswith(" ms: 1 topic(s) before, 0 after")
+
+
+def test_concurrent_bounces_off_one_broker_share_its_census(
+        make_fleet, make_master, monkeypatch, sweeps):
+    brokers, port = make_fleet(2)
+    seed(brokers[0], "t")
+    seed(brokers[1], "t")
+    master = make_master(addresses(3), port)
+    clients = 8
+    for i in range(clients):
+        assert ask(master, f"c{i}", "t") == Disconnect(
+            Reason.USE_ANOTHER_SERVER, brokers[0].address)
+    brokers[0].relocate_topic("t", None)
+    sweeps.clear()
+    censuses = count_calls(monkeypatch, master_module, "topic_discovery",
+                           before=hold_until_connected(master, clients))
+    start = threading.Barrier(clients)
+
+    def bounce(i):
+        start.wait(timeout=5)
+        return ask(master, f"c{i}", "t")
+
+    with ThreadPoolExecutor(max_workers=clients) as pool:
+        answers = list(pool.map(bounce, range(clients)))
+    assert answers == [Disconnect(Reason.USE_ANOTHER_SERVER,
+                                  brokers[1].address)] * clients
+    bounced = census_count(censuses, brokers[0].address)
+    assert 1 <= bounced <= 2, f"{bounced} censuses for {clients} bounces"
+    assert sweeps == []
+
+
+def test_a_sweep_that_starts_after_a_bounce_serves_as_its_census(
+        make_fleet, make_master, sweeps, censuses):
+    brokers, port = make_fleet(2)
+    seed(brokers[0], "t")
+    seed(brokers[1], "t")
+    master = make_master(addresses(3), port)
+    assert ask(master, "c1", "t") == Disconnect(Reason.USE_ANOTHER_SERVER,
+                                                brokers[0].address)
+    brokers[0].relocate_topic("t", None)
+    sweeps.clear()
+    censuses.clear()
+
+    class SweepGoesFirst:
+        """The sweep lock, but the first taker waits out a whole fleet
+        sweep that starts after it arrived."""
+
+        def __init__(self, lock):
+            self.lock, self.armed = lock, True
+
+        def __enter__(self):
+            if self.armed:
+                self.armed = False
+                master.refresh_registry()
+            self.lock.acquire()
+
+        def __exit__(self, *exc):
+            self.lock.release()
+
+    master._sweep_lock = SweepGoesFirst(master._sweep_lock)
+    assert ask(master, "c1", "t") == Disconnect(Reason.USE_ANOTHER_SERVER,
+                                                brokers[1].address)
+    assert len(sweeps) == 1
+    assert census_count(censuses, brokers[0].address) == 1  # the sweep's
+
+
+def test_a_bounce_that_places_nothing_gets_one_sweep(make_fleet, make_master,
+                                                     sweeps, censuses):
+    brokers, port = make_fleet(2)
+    seed(brokers[0], "t")
+    master = make_master(addresses(3), port)
+    assert ask(master, "c1", "t") == Disconnect(Reason.USE_ANOTHER_SERVER,
+                                                brokers[0].address)
+    brokers[0].relocate_topic("t", None)
+    sweeps.clear()
+    censuses.clear()
+    assert ask(master, "c1", "t") == Disconnect(
+        Reason.TOPIC_FILTER_NOT_ACCEPTED)
+    assert len(sweeps) == 1
+    # the bounce's census of the old home, then the sweep's
+    assert census_count(censuses, brokers[0].address) == 2
 
 
 def test_a_redirect_opens_no_connection_to_its_target(make_fleet, make_master):

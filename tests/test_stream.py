@@ -4,8 +4,8 @@ import socket
 
 import pytest
 
-from tdmqtt.packets import Publish, encode
-from tdmqtt.stream import PacketConnection
+from tdmqtt.packets import MalformedPacket, Publish, encode, encode_varint
+from tdmqtt.stream import MAX_PACKET_SIZE, PacketConnection
 
 
 @pytest.fixture
@@ -45,3 +45,16 @@ def test_large_publish_split_into_pieces(tcp_pair):
     packet = conn.recv(timeout=2)
     assert packet == big
     assert type(packet.payload) is bytes
+
+
+@pytest.mark.parametrize("total, refused", [(MAX_PACKET_SIZE, False),
+                                            (MAX_PACKET_SIZE + 1, True)])
+def test_the_fixed_header_decides_whether_a_packet_fits(tcp_pair, total,
+                                                        refused):
+    sender, conn = tcp_pair
+    remaining = total - 1 - 3  # type byte, three-byte remaining length
+    header = bytes([0x30]) + encode_varint(remaining)
+    assert len(header) == 4
+    sender.sendall(header + bytes(100))
+    with pytest.raises(MalformedPacket if refused else TimeoutError):
+        conn.recv(timeout=0.2)
