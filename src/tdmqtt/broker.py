@@ -69,7 +69,6 @@ class EdgeBroker:
         self._subscribers: dict[str, set[_Session]] = {}  # filter -> sessions
         self._messages: dict[str, tuple[bytes, int]] = {}  # topic -> last message
         self._relocations: dict[str, Disconnect] = {}  # topic -> its notice
-        self._anon = itertools.count(1)
         self._server = Server(host)
 
     # -- lifecycle ----------------------------------------------------------
@@ -104,10 +103,12 @@ class EdgeBroker:
     # -- sessions -----------------------------------------------------------
 
     def _register(self, conn: PacketConnection, connect: Connect) -> _Session:
+        client_id = connect.client_id
+        session = _Session(conn, client_id)
+        if not client_id:  # no one can take over an empty-id session
+            return session
         with self._lock:
-            client_id = connect.client_id or f"anon-{next(self._anon)}"
             old = self._sessions.get(client_id)
-            session = _Session(conn, client_id)
             self._sessions[client_id] = session
             if old is not None:  # stops receiving now, not when its thread ends
                 self._unsubscribe_all(old)

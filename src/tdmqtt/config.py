@@ -66,18 +66,15 @@ def _parse_ref(value, key: str) -> BrokerRef:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _duration_ms(raw: dict, key: str, default: float) -> float:
+def _duration(raw: dict, key: str, default: float) -> float:
+    """raw[key], or default, in seconds: a key ending in '_ms' holds
+    milliseconds, any other key seconds."""
     value = raw.get(key, default)
+    in_ms = key.endswith("_ms")
     if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-        raise ConfigError(f"{key} must be a positive number of milliseconds")
-    return value / 1000.0
-
-
-def _duration_s(raw: dict, key: str, default: float) -> float:
-    value = raw.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-        raise ConfigError(f"{key} must be a positive number of seconds")
-    return float(value)
+        raise ConfigError(f"{key} must be a positive number of "
+                          + ("milliseconds" if in_ms else "seconds"))
+    return value / 1000.0 if in_ms else float(value)
 
 
 def _check_keys(raw: dict, section: str, allowed: set[str]) -> None:
@@ -137,11 +134,11 @@ def _master_section(raw: dict) -> MasterConfig:
         if "listen" in raw else defaults.listen,
         addresses=expand_address_range(raw.get("address_range", [])),
         broker_port=port,
-        timeout=_duration_ms(raw, "timeout_ms", defaults.timeout * 1000),
-        listen_window=_duration_ms(raw, "listen_window_ms",
-                                   defaults.listen_window * 1000),
-        refresh_period=_duration_ms(raw, "refresh_period_ms",
-                                    defaults.refresh_period * 1000),
+        timeout=_duration(raw, "timeout_ms", defaults.timeout * 1000),
+        listen_window=_duration(raw, "listen_window_ms",
+                                defaults.listen_window * 1000),
+        refresh_period=_duration(raw, "refresh_period_ms",
+                                 defaults.refresh_period * 1000),
     )
 
 
@@ -165,8 +162,8 @@ def _client_section(raw: dict) -> ClientConfig:
     return ClientConfig(
         master=_parse_ref(raw["master"], "client.master")
         if "master" in raw else defaults.master,
-        keepalive_s=_duration_s(raw, "keepalive_s", defaults.keepalive_s),
-        timeout_s=_duration_s(raw, "timeout_s", defaults.timeout_s),
+        keepalive_s=_duration(raw, "keepalive_s", defaults.keepalive_s),
+        timeout_s=_duration(raw, "timeout_s", defaults.timeout_s),
     )
 
 
@@ -228,10 +225,10 @@ def _eval_section(raw: dict) -> EvalConfig:
     _check_keys(emma_raw, "eval.emma", {"probe_time", "reconnect_time"})
     try:
         emma = EmmaParams(
-            probe_time=float(_duration_s(emma_raw, "probe_time",
-                                         defaults.emma.probe_time)),
-            reconnect_time=float(_duration_s(emma_raw, "reconnect_time",
-                                             defaults.emma.reconnect_time)),
+            probe_time=_duration(emma_raw, "probe_time",
+                                 defaults.emma.probe_time),
+            reconnect_time=_duration(emma_raw, "reconnect_time",
+                                     defaults.emma.reconnect_time),
         )
     except ValueError as exc:
         raise ConfigError(f"eval.emma: {exc}") from exc

@@ -243,12 +243,11 @@ class MasterBroker:
         self._host = host
         self._port = port
         self._lock = threading.Lock()
-        self._sweep_lock = threading.Lock()  # held for a sweep or a census
-        self._sweeps = 0  # fleet sweeps and bounce censuses started
-        self._fresh = 0   # the number of the last fleet sweep that returned
-        # broker -> the number of its last bounce census that returned,
-        # for censuses newer than the last fleet sweep
-        self._censused: dict[BrokerRef, int] = {}
+        self._sweep_lock = threading.Lock()  # held for the length of a census
+        self._started = 0  # censuses started, of either scope
+        # scope (a broker, or None for the fleet) -> the number of its last
+        # census that returned
+        self._returned: dict[BrokerRef | None, int] = {}
         self._registry = Registry()
         # client id -> (filter, broker) of its last redirect
         self._answers: dict[str, tuple[str, BrokerRef]] = {}
@@ -288,63 +287,50 @@ class MasterBroker:
             return self._registry
 
     def refresh_registry(self) -> Registry:
-        """Probe, census every reachable broker, swap in the new snapshot.
+        """Probe, census every reachable broker, swap in the new snapshot
+        (a fleet census; see _recensus)."""
+        return self._recensus(None)
 
-        Single-flight: concurrent callers share one sweep, and every
-        caller gets the result of a sweep that started after it called,
-        so N concurrent misses cost at most two sweeps.  A sweep that
-        finds what the installed snapshot holds keeps it, index and all;
-        otherwise only the brokers whose topics changed are indexed anew.
+    def _recensus(self, scope: BrokerRef | None) -> Registry:
+        """Census `scope`, one broker or (None) the whole fleet, and swap
+        in the result.  A broker's census replaces its topics, or drops
+        it if it does not answer; the new snapshot indexes only the
+        brokers whose topics changed.
+
+        Single-flight: every caller gets the result of a census of its
+        scope, or of the fleet, that started after it called, so N
+        concurrent callers cost at most two censuses of their scope, and
+        no census installs a view older than one that has returned.
         """
-        ticket = self._sweeps
+        ticket = self._started
         with self._sweep_lock:
-            if self._fresh <= ticket:  # none begun since our call has returned
-                self._sweeps += 1
-                entries = census_sweep(self._discovery)
-                self._install(entries)
-                self._fresh = self._sweeps
-                self._censused.clear()  # this sweep is newer than all of them
-                logger.info("registry refreshed: %s", {
-                    str(r): len(t) for r, t in entries.items()} or "empty")
+            if max(self._returned.get(None, 0),
+                   self._returned.get(scope, 0)) <= ticket:
+                self._started += 1
+                installed = self._registry
+                if scope is None:
+                    entries = census_sweep(self._discovery)
+                    logger.info("registry refreshed: %s", {
+                        str(r): len(t) for r, t in entries.items()} or "empty")
+                else:
+                    began = time.monotonic()
+                    topics = _census(scope, self._discovery)
+                    entries = dict(installed.topics_by_broker)
+                    before = len(entries.pop(scope, ()))
+                    if topics is not None:
+                        entries[scope] = topics
+                    logger.info("bounce census of %s in %.1f ms: %d topic(s) "
+                                "before, %s after", scope,
+                                (time.monotonic() - began) * 1e3, before,
+                                "none (dropped)" if topics is None
+                                else len(topics))
+                registry = Registry(entries, installed)
+                with self._lock:
+                    self._registry = registry
+                if scope is None:  # newer than every broker's census
+                    self._returned.clear()
+                self._returned[scope] = self._started
         return self.registry
-
-    def _recensus(self, ref: BrokerRef) -> Registry:
-        """Census the one broker a client bounced off and swap in the
-        result: its topics replaced, or the broker dropped if it does
-        not answer.
-
-        Shares the sweep lock and its ticket: a caller gets the result of
-        a census of `ref`, or of a fleet sweep, that started after it
-        called, so N concurrent bounces off one broker cost at most two
-        censuses, and no sweep installs a view older than a census that
-        has returned.
-        """
-        ticket = self._sweeps
-        with self._sweep_lock:
-            if max(self._fresh, self._censused.get(ref, 0)) <= ticket:
-                self._sweeps += 1
-                started = time.monotonic()
-                topics = _census(ref, self._discovery)
-                entries = dict(self._registry.topics_by_broker)
-                before = len(entries.pop(ref, ()))
-                if topics is not None:
-                    entries[ref] = topics
-                self._install(entries)
-                self._censused[ref] = self._sweeps
-                logger.info("bounce census of %s in %.1f ms: %d topic(s) "
-                            "before, %s after", ref,
-                            (time.monotonic() - started) * 1e3, before,
-                            "none (dropped)" if topics is None else len(topics))
-        return self.registry
-
-    def _install(self, entries: dict[BrokerRef, frozenset[str]]) -> None:
-        """Swap in a snapshot of entries, unless the installed one holds
-        them already.  The caller holds the sweep lock."""
-        installed = self._registry
-        if entries != installed.topics_by_broker:
-            registry = Registry(entries, installed)
-            with self._lock:
-                self._registry = registry
 
     def _refresh_loop(self) -> None:
         while not self._stop.wait(self._discovery.refresh_period):

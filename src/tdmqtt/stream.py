@@ -34,6 +34,7 @@ logger = logging.getLogger(__name__)
 _CHUNK = 4096
 HANDSHAKE_TIMEOUT = 10.0
 MAX_PACKET_SIZE = 1 << 20  # bytes; a larger declared packet ends the connection
+_ACCEPT_PAUSE = 0.1  # seconds; after a failed accept() (EMFILE, say)
 
 
 class PacketConnection:
@@ -246,8 +247,13 @@ class Server:
         while True:
             try:
                 sock, _ = listener.accept()
-            except OSError:
-                return  # listener shut down by stop()
+            except OSError as exc:
+                if self._stopped:
+                    return  # listener shut down by stop()
+                logger.warning("accept failed, retrying in %gs: %s",
+                               _ACCEPT_PAUSE, exc)
+                time.sleep(_ACCEPT_PAUSE)
+                continue
             with self._lock:
                 if self._stopped:
                     sock.close()

@@ -191,6 +191,19 @@ def test_client_section_bad_values(write_config, section):
         load_config(write_config({"client": section}))
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"master": {"timeout_ms": 0}},
+     "timeout_ms must be a positive number of milliseconds"),
+    ({"client": {"timeout_s": 0}},
+     "timeout_s must be a positive number of seconds"),
+    ({"eval": {"emma": {"probe_time": True}}},
+     "probe_time must be a positive number of seconds"),
+])
+def test_a_bad_duration_names_its_unit(write_config, config, message):
+    with pytest.raises(ConfigError, match=message + "$"):
+        load_config(write_config(config))
+
+
 # --- eval section ---------------------------------------------------------------
 
 def test_eval_section_overrides(write_config):

@@ -139,9 +139,11 @@ def test_census_window_bounds_the_silence_not_the_replay(caplog):
     assert not any("no PINGRESP" in r.getMessage() for r in caplog.records)
 
 
-def test_census_does_not_evict_a_client_with_its_old_id(broker):
+@pytest.mark.parametrize("client_id", ["census-{host}-{port}", "anon-1"])
+def test_census_does_not_evict_a_client_with_its_old_id(broker, client_id):
+    """A census takes over no client's session, whatever its id."""
     ref = broker.address
-    bystander = connect(ref, f"census-{ref.host}-{ref.port}")
+    bystander = connect(ref, client_id.format(host=ref.host, port=ref.port))
     topic_discovery(ref, 0.5, 0.3)
     bystander.send(PingReq())
     assert bystander.recv(timeout=2) == PingResp()
@@ -259,15 +261,17 @@ def test_resolve_with_refresh_sees_late_topics(make_fleet, make_master):
     assert master.refresh_registry().find("born/late") == brokers[0].address
 
 
-def test_an_unchanged_sweep_keeps_the_installed_registry(make_fleet,
-                                                         make_master):
+def test_a_sweep_indexes_only_the_brokers_whose_topics_changed(
+        make_fleet, make_master, monkeypatch):
     brokers, port = make_fleet(2)
     seed(brokers[0], "a/b")
     master = make_master(addresses(3), port)
-    installed = master.registry
-    assert master.refresh_registry() is installed
+    indexed = count_calls(monkeypatch, master_module, "_filters_matching")
+    master.refresh_registry()
+    assert indexed == []
     seed(brokers[1], "c")
-    assert master.refresh_registry() is not installed
+    assert master.refresh_registry().find("c") == brokers[1].address
+    assert indexed == [(frozenset({"c"}),)]
 
 
 def test_a_failed_sweep_lets_the_next_waiter_run_its_own(make_fleet,
@@ -566,6 +570,23 @@ def test_concurrent_bounces_off_one_broker_share_its_census(
     assert sweeps == []
 
 
+class FirstTakerWaits:
+    """The sweep lock, but its first taker, holding its ticket, waits out
+    `census()`, a census that starts after it arrived."""
+
+    def __init__(self, lock, census):
+        self.lock, self.census = lock, census
+
+    def __enter__(self):
+        census, self.census = self.census, None
+        if census is not None:
+            census()
+        self.lock.acquire()
+
+    def __exit__(self, *exc):
+        self.lock.release()
+
+
 def test_a_sweep_that_starts_after_a_bounce_serves_as_its_census(
         make_fleet, make_master, sweeps, censuses):
     brokers, port = make_fleet(2)
@@ -578,27 +599,33 @@ def test_a_sweep_that_starts_after_a_bounce_serves_as_its_census(
     sweeps.clear()
     censuses.clear()
 
-    class SweepGoesFirst:
-        """The sweep lock, but the first taker waits out a whole fleet
-        sweep that starts after it arrived."""
-
-        def __init__(self, lock):
-            self.lock, self.armed = lock, True
-
-        def __enter__(self):
-            if self.armed:
-                self.armed = False
-                master.refresh_registry()
-            self.lock.acquire()
-
-        def __exit__(self, *exc):
-            self.lock.release()
-
-    master._sweep_lock = SweepGoesFirst(master._sweep_lock)
+    master._sweep_lock = FirstTakerWaits(master._sweep_lock,
+                                         master.refresh_registry)
     assert ask(master, "c1", "t") == Disconnect(Reason.USE_ANOTHER_SERVER,
                                                 brokers[1].address)
     assert len(sweeps) == 1
     assert census_count(censuses, brokers[0].address) == 1  # the sweep's
+
+
+def test_a_bounce_census_does_not_serve_as_a_waiting_miss_sweep(
+        make_fleet, make_master, sweeps):
+    """A census of one broker never stands in for a fleet sweep."""
+    brokers, port = make_fleet(2)
+    seed(brokers[0], "t")
+    seed(brokers[1], "t")
+    master = make_master(addresses(3), port)
+    assert ask(master, "c1", "t") == Disconnect(Reason.USE_ANOTHER_SERVER,
+                                                brokers[0].address)
+    brokers[0].relocate_topic("t", None)
+    sweeps.clear()
+    bounced = []
+    master._sweep_lock = FirstTakerWaits(
+        master._sweep_lock, lambda: bounced.append(ask(master, "c1", "t")))
+    assert ask(master, "c2", "nowhere") == Disconnect(
+        Reason.TOPIC_FILTER_NOT_ACCEPTED)
+    assert bounced == [Disconnect(Reason.USE_ANOTHER_SERVER,
+                                  brokers[1].address)]
+    assert len(sweeps) == 1
 
 
 def test_a_bounce_that_places_nothing_gets_one_sweep(make_fleet, make_master,

@@ -1,11 +1,16 @@
-"""PacketConnection framing over a real TCP loopback connection."""
+"""PacketConnection framing over a real TCP loopback connection, and a
+server that runs out of file descriptors."""
 
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tdmqtt.packets import MalformedPacket, Publish, encode, encode_varint
-from tdmqtt.stream import MAX_PACKET_SIZE, PacketConnection
+from tdmqtt.packets import BrokerRef, MalformedPacket, Publish, encode, encode_varint
+from tdmqtt.stream import MAX_PACKET_SIZE, PacketConnection, dial
 
 
 @pytest.fixture
@@ -58,3 +63,48 @@ def test_the_fixed_header_decides_whether_a_packet_fits(tcp_pair, total,
     sender.sendall(header + bytes(100))
     with pytest.raises(MalformedPacket if refused else TimeoutError):
         conn.recv(timeout=0.2)
+
+
+FD_LIMIT = 40  # the child's soft RLIMIT_NOFILE
+
+BROKER_UNDER_FD_LIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_NOFILE,
+                   (int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+from tdmqtt.broker import EdgeBroker
+broker = EdgeBroker(port=0).start()
+print(broker.address.port, flush=True)
+sys.stdin.read()  # serve until the parent closes stdin
+broker.stop()
+"""
+
+
+def test_a_server_out_of_descriptors_accepts_again_once_some_close():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    held = []
+    with subprocess.Popen(
+            [sys.executable, "-c", BROKER_UNDER_FD_LIMIT, str(FD_LIMIT)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True, env=env) as child:
+        try:
+            ref = BrokerRef("127.0.0.1", int(child.stdout.readline()))
+            for _ in range(FD_LIMIT):
+                try:
+                    held.append(dial(ref, "", 0.5, ConnectionError))
+                except ConnectionError:
+                    break
+            assert len(held) < FD_LIMIT, "the broker never ran out of descriptors"
+            while held:
+                held.pop().close()
+            dial(ref, "", 5.0, ConnectionError).close()  # CONNACK: accepting again
+        finally:
+            for conn in held:
+                conn.close()
+            child.stdin.close()
+            try:
+                child.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                child.kill()
+                raise
