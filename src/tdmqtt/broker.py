@@ -14,6 +14,11 @@ enumerate the broker's whole topic population.
 Routing is indexed by filter: a publish looks up the few filters that
 can match its topic (packets.matching_filters) instead of testing every
 session's filters.
+
+Every CONNACK carries the topic-table version: a token drawn once per
+broker plus a count of the topics the message table gained or lost.  A
+value update leaves it alone, so a census that reads an unchanged
+version knows the topic set without replaying it.
 """
 
 from __future__ import annotations
@@ -21,11 +26,13 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import os
 import socket
 import threading
 
 from .packets import (
     BrokerRef,
+    ConnAck,
     Connect,
     Disconnect,
     Packet,
@@ -69,6 +76,8 @@ class EdgeBroker:
         self._subscribers: dict[str, set[_Session]] = {}  # filter -> sessions
         self._messages: dict[str, tuple[bytes, int]] = {}  # topic -> last message
         self._relocations: dict[str, Disconnect] = {}  # topic -> its notice
+        self._table_token = os.urandom(8).hex()
+        self._table_changes = 0  # topics _messages gained or lost
         self._server = Server(host)
 
     # -- lifecycle ----------------------------------------------------------
@@ -76,7 +85,7 @@ class EdgeBroker:
     def start(self) -> "EdgeBroker":
         self._port = self._server.listen(self._port, functools.partial(
             serve_mqtt, attach=self._register, handle=self._handle,
-            detach=self._unregister))
+            detach=self._unregister, connack=self._connack))
         if self._admin_port is not None:
             self._admin_port = self._server.listen(self._admin_port,
                                                    self._serve_admin)
@@ -101,6 +110,11 @@ class EdgeBroker:
             return sorted(self._messages)
 
     # -- sessions -----------------------------------------------------------
+
+    def _connack(self) -> ConnAck:
+        with self._lock:
+            version = f"{self._table_token}-{self._table_changes}"
+        return ConnAck(Reason.SUCCESS, topic_table_version=version)
 
     def _register(self, conn: PacketConnection, connect: Connect) -> _Session:
         client_id = connect.client_id
@@ -182,6 +196,8 @@ class EdgeBroker:
         with self._lock:
             notice = self._relocations.get(pub.topic)
             if notice is None:
+                if pub.topic not in self._messages:
+                    self._table_changes += 1
                 self._messages[pub.topic] = (pub.payload, pub.qos)
                 receivers = self._receivers(pub.topic)
                 receivers.discard(session)
@@ -216,7 +232,8 @@ class EdgeBroker:
         notice = redirect(target)
         with self._lock:
             self._relocations[topic] = notice
-            self._messages.pop(topic, None)
+            if self._messages.pop(topic, None) is not None:
+                self._table_changes += 1
             affected = self._receivers(topic)
         logger.info("topic %r relocated to %s; notifying %d subscriber(s)",
                     topic, target or "unknown", len(affected))

@@ -3,10 +3,15 @@
 The master never carries payload traffic.  It probes an address range for
 listening brokers, enumerates each broker's topics by subscribing to '#'
 and collecting the replayed messages up to a PINGRESP barrier, and keeps
-the result as an immutable registry snapshot.  Clients connect as if it
-were an ordinary broker; the master answers their SUBSCRIBE (or PUBLISH)
-with a DISCONNECT carrying a server reference to the edge broker that
-actually hosts the topic, then hangs up.
+the result as an immutable registry snapshot.  Each broker's topics keep
+the topic-table version its CONNACK carried before that census; a later
+census that reads the same version in the CONNACK keeps those topics and
+hangs up, so an unchanged broker costs one handshake, not a replay.
+
+Clients connect as if the master were an ordinary broker; it answers
+their SUBSCRIBE (or PUBLISH) with a DISCONNECT carrying a server
+reference to the edge broker that actually hosts the topic, then hangs
+up.
 
 A client that asks again for the filter it was last sent away for has
 bounced off that broker.  The master then re-censuses that one broker
@@ -152,19 +157,43 @@ def broker_discovery(config: DiscoveryConfig) -> list[BrokerRef]:
     return sorted((ref for ref, ok in zip(refs, up) if ok), key=str)
 
 
-def topic_discovery(ref: BrokerRef, timeout: float,
-                    listen_window: float) -> frozenset[str]:
+class Topics(frozenset):
+    """One broker's topics as a census listed them, with the topic-table
+    version its CONNACK carried before the census began.  The version is
+    None when the broker sent none or the census ended before its
+    PINGRESP: such a set is never trusted to be complete."""
+
+    __slots__ = ("version",)
+
+    def __new__(cls, topics, version: str | None = None):
+        self = super().__new__(cls, topics)
+        self.version = version
+        return self
+
+
+def topic_discovery(ref: BrokerRef, timeout: float, listen_window: float,
+                    installed: frozenset[str] | None = None) -> frozenset[str]:
     """Ask one broker for its topic population.
 
-    Subscribes to '#' with a PINGREQ right behind the SUBSCRIBE and
-    records the topic of every message that arrives before the PINGRESP.
-    An EdgeBroker sends the SUBACK and its whole replay before it reads
-    the next packet, so the PINGRESP marks the end of the replay.  That
-    barrier relies on this broker's packet order: MQTT 5 does not make
-    other brokers deliver retained messages before answering a PINGREQ.
-    listen_window bounds the silence between packets, not the whole
-    census; when a broker falls silent that long before its PINGRESP,
-    the census keeps what it has and logs a warning.
+    The CONNACK's topic-table version is read first.  When it equals the
+    version of `installed` (a Topics from an earlier census of this
+    broker), the topic set has not changed since: the census says
+    DISCONNECT and returns `installed` itself, so it costs one
+    handshake.  Any other answer, a restarted broker's new version or a
+    peer that sends none, gets the full census below, tagged with the
+    version read before it began.  A topic added during that census
+    moves the version past it, so the next census is full again.
+
+    The full census subscribes to '#' with a PINGREQ right behind the
+    SUBSCRIBE and records the topic of every message that arrives before
+    the PINGRESP.  An EdgeBroker sends the SUBACK and its whole replay
+    before it reads the next packet, so the PINGRESP marks the end of
+    the replay.  That barrier relies on this broker's packet order: MQTT
+    5 does not make other brokers deliver retained messages before
+    answering a PINGREQ.  listen_window bounds the silence between
+    packets, not the whole census; when a broker falls silent that long
+    before its PINGRESP, the census keeps what it has, untagged, and
+    logs a warning.
 
     The census connects with an empty client id, so the broker assigns
     a fresh one and concurrent censuses of one broker never evict each
@@ -173,62 +202,80 @@ def topic_discovery(ref: BrokerRef, timeout: float,
     ends the census early.
     """
     conn = dial(ref, "", timeout, BrokerUnreachable)
-    topics: set[str] = set()
+    version = conn.connack.topic_table_version
     try:
-        conn.send(Subscribe(1, ("#",)))
-        conn.send(PingReq())
-        suback = conn.recv(timeout=timeout)
-        if not isinstance(suback, SubAck) or suback.reasons[0] != Reason.SUCCESS:
-            raise BrokerUnreachable(f"{ref}: census subscription refused")
-        while True:
-            try:
-                packet = conn.recv(timeout=listen_window)
-            except TimeoutError:
-                logger.warning("census of %s: no PINGRESP within %gs, "
-                               "keeping %d topic(s)", ref, listen_window,
-                               len(topics))
-                break
-            if packet is None:
-                raise BrokerUnreachable(f"{ref}: hung up during census")
-            if isinstance(packet, Publish):
-                topics.add(packet.topic)
-                if packet.qos == 1:
-                    conn.send(PubAck(packet.packet_id))
-            elif isinstance(packet, PingResp):
-                break
-            elif isinstance(packet, Disconnect):
-                return frozenset(topics)
+        if version is not None \
+                and version == getattr(installed, "version", None):
+            topics = installed
+        else:
+            topics = _replay(conn, ref, timeout, listen_window, version)
         try:
             conn.send(Disconnect(Reason.NORMAL))
         except ConnectionClosed:
             pass
-        return frozenset(topics)
+        return topics
     except (ConnectionClosed, MalformedPacket, TimeoutError) as exc:
         raise BrokerUnreachable(f"{ref}: {exc}") from exc
     finally:
         conn.close()
 
 
-def census_sweep(config: DiscoveryConfig) -> dict[BrokerRef, frozenset[str]]:
+def _replay(conn: PacketConnection, ref: BrokerRef, timeout: float,
+            listen_window: float, version: str | None) -> Topics:
+    """The '#' census of topic_discovery, on a connection past CONNACK."""
+    conn.send(Subscribe(1, ("#",)))
+    conn.send(PingReq())
+    suback = conn.recv(timeout=timeout)
+    if not isinstance(suback, SubAck) or suback.reasons[0] != Reason.SUCCESS:
+        raise BrokerUnreachable(f"{ref}: census subscription refused")
+    topics: set[str] = set()
+    while True:
+        try:
+            packet = conn.recv(timeout=listen_window)
+        except TimeoutError:
+            logger.warning("census of %s: no PINGRESP within %gs, "
+                           "keeping %d topic(s)", ref, listen_window,
+                           len(topics))
+            return Topics(topics)
+        if packet is None:
+            raise BrokerUnreachable(f"{ref}: hung up during census")
+        if isinstance(packet, Publish):
+            topics.add(packet.topic)
+            if packet.qos == 1:
+                conn.send(PubAck(packet.packet_id))
+        elif isinstance(packet, PingResp):
+            return Topics(topics, version)
+        elif isinstance(packet, Disconnect):
+            return Topics(topics)
+
+
+def census_sweep(config: DiscoveryConfig, installed: Registry | None = None
+                 ) -> dict[BrokerRef, frozenset[str]]:
     """Probe the fleet, then census every broker found, in parallel.
 
     Returns each answering broker's topics in 'host:port' string order.
+    A broker whose topic-table version matches its topics in `installed`
+    keeps that set for the cost of one handshake (see topic_discovery).
     A broker that dies between probe and census just drops out; one
     broker's failure never aborts the rest of the sweep.
     """
     refs = broker_discovery(config)
     if not refs:
         return {}
+    installed = installed or Registry()
     with ThreadPoolExecutor(max_workers=min(_PROBE_WORKERS, len(refs))) as pool:
-        results = list(pool.map(functools.partial(_census, config=config), refs))
+        results = list(pool.map(
+            lambda ref: _census(ref, config, installed.topics_of(ref)), refs))
     return {ref: topics for ref, topics in zip(refs, results)
             if topics is not None}
 
 
-def _census(ref: BrokerRef, config: DiscoveryConfig) -> frozenset[str] | None:
+def _census(ref: BrokerRef, config: DiscoveryConfig,
+            installed: frozenset[str] | None) -> frozenset[str] | None:
     """One broker's topics, or None (logged) if it cannot be censused."""
     try:
-        return topic_discovery(ref, config.timeout, config.listen_window)
+        return topic_discovery(ref, config.timeout, config.listen_window,
+                               installed)
     except BrokerUnreachable as exc:
         logger.warning("census failed: %s", exc)
         return None
@@ -308,22 +355,29 @@ class MasterBroker:
                    self._returned.get(scope, 0)) <= ticket:
                 self._started += 1
                 installed = self._registry
+                kept = installed.topics_by_broker
                 if scope is None:
-                    entries = census_sweep(self._discovery)
-                    logger.info("registry refreshed: %s", {
-                        str(r): len(t) for r, t in entries.items()} or "empty")
+                    entries = census_sweep(self._discovery, installed)
+                    logger.info(
+                        "registry refreshed: %s (%d of %d census(es) "
+                        "short-cut)", {str(r): len(t) for r, t
+                                       in entries.items()} or "empty",
+                        sum(t is kept.get(r) for r, t in entries.items()),
+                        len(entries))
                 else:
                     began = time.monotonic()
-                    topics = _census(scope, self._discovery)
-                    entries = dict(installed.topics_by_broker)
+                    topics = _census(scope, self._discovery, kept.get(scope))
+                    entries = dict(kept)
                     before = len(entries.pop(scope, ()))
                     if topics is not None:
                         entries[scope] = topics
                     logger.info("bounce census of %s in %.1f ms: %d topic(s) "
-                                "before, %s after", scope,
+                                "before, %s after%s", scope,
                                 (time.monotonic() - began) * 1e3, before,
                                 "none (dropped)" if topics is None
-                                else len(topics))
+                                else len(topics),
+                                " (unchanged)" if topics is not None
+                                and topics is kept.get(scope) else "")
                 registry = Registry(entries, installed)
                 with self._lock:
                     self._registry = registry

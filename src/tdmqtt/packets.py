@@ -2,15 +2,16 @@
 
 Covers CONNECT, CONNACK, SUBSCRIBE, SUBACK, PUBLISH (QoS 0/1), PUBACK,
 PINGREQ, PINGRESP and DISCONNECT, plus the DISCONNECT Server Reference
-property that carries "host:port" broker redirects.  Byte layout follows
-the OASIS MQTT 5 wire format.  Everything here is pure and reentrant;
-packet values are immutable.
+property that carries "host:port" broker redirects and the CONNACK User
+Property that carries an edge broker's topic-table version.  Byte layout
+follows the OASIS MQTT 5 wire format.  Everything here is pure and
+reentrant; packet values are immutable.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 PROTOCOL_LEVEL = 5
 
@@ -28,6 +29,10 @@ TYPE_DISCONNECT = 14
 # Property identifiers we emit or inspect.
 PROP_SERVER_REFERENCE = 0x1C
 PROP_REASON_STRING = 0x1F
+PROP_USER_PROPERTY = 0x26
+
+# User Property name under which a CONNACK carries the topic-table version.
+TOPIC_TABLE_VERSION = "topic-table-version"
 
 # Property id -> value kind, for skipping properties we do not use.
 # Any id outside this table is not a legal MQTT 5 property.
@@ -117,6 +122,11 @@ class Connect:
 @dataclass(frozen=True)
 class ConnAck:
     reason: int = Reason.SUCCESS
+    # An edge broker's topic-table version: equal versions from one broker
+    # mean an equal topic set.  None when the peer sends none, or sends
+    # conflicting ones.  Left out of repr, so a plain CONNACK still reads
+    # ConnAck(reason=0) in logs and in the test ids derived from reprs.
+    topic_table_version: str | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -353,15 +363,17 @@ class _Reader:
             raise MalformedPacket(f"trailing bytes after {what}")
 
 
-def _read_properties(r: _Reader) -> dict[str, str]:
-    """Parse a property block, keeping server reference and reason string.
+def _read_properties(r: _Reader) -> dict[str, str | None]:
+    """Parse a property block, keeping server reference, reason string and
+    the topic-table version User Property.
 
-    Unknown-to-us but legal property ids are skipped; ids outside the
-    MQTT 5 table are malformed.
+    Unknown-to-us but legal property ids are skipped, and so is every
+    other User Property; ids outside the MQTT 5 table are malformed.
+    Version pairs that disagree leave the version None.
     """
     length = r.varint()
     body = _Reader(r.take(length))
-    found: dict[str, str] = {}
+    found: dict[str, str | None] = {}
     while not body.exhausted:
         pid = body.u8()
         kind = _PROPERTY_KINDS.get(pid)
@@ -389,6 +401,11 @@ def _read_properties(r: _Reader) -> dict[str, str]:
             if "reason_string" in found:
                 raise MalformedPacket("duplicate reason string property")
             found["reason_string"] = value  # type: ignore[assignment]
+        elif pid == PROP_USER_PROPERTY \
+                and value[0] == TOPIC_TABLE_VERSION:  # type: ignore[index]
+            if found.setdefault("topic_table_version",
+                                value[1]) != value[1]:  # type: ignore[index]
+                found["topic_table_version"] = None
     return found
 
 
@@ -438,7 +455,12 @@ def encode(packet: Packet) -> bytes:
 
     if isinstance(packet, ConnAck):
         reason = _check_reason(packet.reason, InvalidPacket)
-        return _frame(TYPE_CONNACK, 0, bytes([0x00, reason]) + encode_varint(0))
+        props = b""
+        if packet.topic_table_version is not None:
+            props = (bytes([PROP_USER_PROPERTY]) + _pack_str(TOPIC_TABLE_VERSION)
+                     + _pack_str(packet.topic_table_version))
+        return _frame(TYPE_CONNACK, 0, bytes([0x00, reason])
+                      + encode_varint(len(props)) + props)
 
     if isinstance(packet, Subscribe):
         pid = _check_packet_id(packet.packet_id, InvalidPacket)
@@ -602,9 +624,10 @@ def _decode_connack(r: _Reader) -> ConnAck:
     if ack_flags & ~0x01:
         raise MalformedPacket("reserved CONNACK flags set")
     reason = r.u8()
-    _read_properties(r)
+    props = _read_properties(r)
     r.expect_end("CONNACK")
-    return ConnAck(reason=reason)
+    return ConnAck(reason=reason,
+                   topic_table_version=props.get("topic_table_version"))
 
 
 def _decode_publish(r: _Reader, flags: int) -> Publish:

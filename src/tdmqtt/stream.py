@@ -1,8 +1,9 @@
 """Connection lifecycle shared by every network role.
 
 Packet framing over a blocking socket (`PacketConnection`), the server
-core both brokers run on (`Server` plus `serve_mqtt`), and the client
-side of the CONNECT/CONNACK handshake (`dial`).
+core both brokers run on (`Server`, which caps its connections, plus
+`serve_mqtt`), and the client side of the CONNECT/CONNACK handshake
+(`dial`, which keeps the CONNACK it read).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ _CHUNK = 4096
 HANDSHAKE_TIMEOUT = 10.0
 MAX_PACKET_SIZE = 1 << 20  # bytes; a larger declared packet ends the connection
 _ACCEPT_PAUSE = 0.1  # seconds; after a failed accept() (EMFILE, say)
+_MAX_CONNECTIONS = 1024  # per Server; one more is closed at accept
 
 
 class PacketConnection:
@@ -45,6 +47,8 @@ class PacketConnection:
     until it lets go.  A clean EOF on a packet boundary reads as None,
     an EOF in the middle of a packet raises ConnectionClosed.
     """
+
+    connack: ConnAck | None = None  # the peer's CONNACK, once dial() read it
 
     def __init__(self, sock: socket.socket):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -125,7 +129,8 @@ def dial(ref: BrokerRef, client_id: str, timeout: float,
          unreachable: type[Exception], keep_alive: int = 0) -> PacketConnection:
     """Connect to a broker or the master and complete CONNECT/CONNACK.
 
-    On refusal, timeout, a broken handshake or a refused CONNECT the
+    The returned connection keeps the CONNACK as `conn.connack`.  On
+    refusal, timeout, a broken handshake or a refused CONNECT the
     connection is closed and `unreachable` is raised.
     """
     conn = None
@@ -140,22 +145,24 @@ def dial(ref: BrokerRef, client_id: str, timeout: float,
     if not isinstance(ack, ConnAck) or ack.reason != Reason.SUCCESS:
         conn.close()
         raise unreachable(f"{ref}: rejected connect: {ack!r}")
+    conn.connack = ack
     return conn
 
 
 def serve_mqtt(sock: socket.socket,
                attach: Callable[[PacketConnection, Connect], Any],
                handle: Callable[[Any, Packet], bool],
-               detach: Callable[[Any], None] | None = None) -> None:
+               detach: Callable[[Any], None] | None = None,
+               connack: Callable[[], ConnAck] = ConnAck) -> None:
     """Run one MQTT conversation on an accepted socket.
 
     Waits HANDSHAKE_TIMEOUT for the CONNECT, then calls
-    `attach(conn, connect)` before answering CONNACK; its result, never
-    None, is the session handed to `handle` and `detach`.  PINGREQ is
-    answered here; every other packet goes to `handle(session, packet)`.
-    The conversation ends on DISCONNECT, EOF, a broken connection, or
-    when `handle` returns False; `detach(session)` then runs if `attach`
-    did.
+    `attach(conn, connect)` before answering with `connack()`; the
+    result of `attach`, never None, is the session handed to `handle`
+    and `detach`.  PINGREQ is answered here; every other packet goes to
+    `handle(session, packet)`.  The conversation ends on DISCONNECT,
+    EOF, a broken connection, or when `handle` returns False;
+    `detach(session)` then runs if `attach` did.
     """
     conn = PacketConnection(sock)
     session = None
@@ -164,7 +171,7 @@ def serve_mqtt(sock: socket.socket,
         if not isinstance(first, Connect):
             return
         session = attach(conn, first)
-        conn.send(ConnAck(Reason.SUCCESS))
+        conn.send(connack())
         while True:
             packet = conn.recv()
             if packet is None or isinstance(packet, Disconnect):
@@ -187,7 +194,9 @@ class Server:
     """Listening sockets with one thread per accepted connection.
 
     Every accepted socket is tracked from accept on, so stop() also ends
-    connections that never finished a handshake or never speak MQTT.
+    connections that never finished a handshake or never speak MQTT.  At
+    most _MAX_CONNECTIONS are open at once, over all listeners; a socket
+    accepted beyond that is closed at once and logged.
     """
 
     def __init__(self, host: str):
@@ -258,9 +267,15 @@ class Server:
                 if self._stopped:
                     sock.close()
                     return
-                self._socks.add(sock)
-                self.connection_count += 1
-                self._start(self._serve, sock, handler)
+                full = len(self._socks) >= _MAX_CONNECTIONS
+                if not full:
+                    self._socks.add(sock)
+                    self.connection_count += 1
+                    self._start(self._serve, sock, handler)
+            if full:
+                logger.warning("%d connections open; closing a new one",
+                               _MAX_CONNECTIONS)
+                sock.close()
 
     def _serve(self, sock: socket.socket,
                handler: Callable[[socket.socket], None]) -> None:

@@ -78,14 +78,17 @@ def wait_until(predicate, timeout: float = 5.0, interval: float = 0.01) -> None:
 
 
 class ScriptedBroker:
-    """Answers every CONNECT, then runs `script(conn)` on that connection.
+    """Answers every CONNECT with `connack`, then runs `script(conn)` on
+    that connection.
 
     Each connection gets its own thread; the connection closes when the
     script returns or fails.
     """
 
-    def __init__(self, script, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, script, host: str = "127.0.0.1", port: int = 0,
+                 connack: ConnAck = ConnAck(Reason.SUCCESS)):
         self._script = script
+        self._connack = connack
         self._listener = socket.socket()
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -123,7 +126,7 @@ class ScriptedBroker:
         try:
             if not isinstance(conn.recv(timeout=5), Connect):
                 return
-            conn.send(ConnAck(Reason.SUCCESS))
+            conn.send(self._connack)
             self._script(conn)
         except Exception:
             pass

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import free_port
 from helpers import (
     ScriptedBroker,
     SilentBroker,
@@ -19,14 +20,17 @@ from helpers import (
 )
 from test_topics import filter_st, name_st
 from tdmqtt import master as master_module
+from tdmqtt.broker import EdgeBroker
 from tdmqtt.client import transparent_subscribe
 from tdmqtt.errors import BrokerUnreachable, NoSuchTopic
 from tdmqtt.master import DiscoveryConfig, Registry, broker_discovery, topic_discovery
 from tdmqtt.packets import (
     BrokerRef,
+    ConnAck,
     Disconnect,
     PingReq,
     PingResp,
+    PubAck,
     Publish,
     Reason,
     Subscribe,
@@ -154,6 +158,117 @@ def test_census_against_dead_address_raises(make_fleet):
     port = make_fleet(0)[1]
     with pytest.raises(BrokerUnreachable):
         topic_discovery(BrokerRef("127.0.0.9", port), 0.25, 0.3)
+
+
+# --- versioned census: an unchanged broker costs one handshake --------------
+
+def put(ref, topic):
+    """Publish at QoS 1 and wait for the broker's answer: a PUBACK, or
+    the DISCONNECT of a relocated topic."""
+    conn = connect(ref)
+    conn.send(Publish(topic, b"v", qos=1, packet_id=1))
+    answer = conn.recv(timeout=2)
+    conn.close()
+    assert isinstance(answer, (PubAck, Disconnect)), answer
+
+
+TOPIC_IDS = st.integers(0, 3)
+STEP = st.lists(st.one_of(
+    st.tuples(st.just("publish"), TOPIC_IDS),  # a new topic or an update
+    st.tuples(st.just("relocate"), TOPIC_IDS, st.booleans()),
+    st.tuples(st.just("restart"))), max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@example([[("relocate", 0, True), ("publish", 3)]])  # same count, new set
+@given(st.lists(STEP, min_size=1, max_size=4))
+def test_a_versioned_census_equals_a_full_census(steps):
+    """Between censuses of one address: new topics, value updates,
+    relocations to a known or an unknown target, and restarts.  A census
+    given the last one's topics lists what a full census lists, and
+    short-cuts exactly when the topic table neither gained nor lost a
+    topic on the same broker."""
+    port = free_port()
+    known = BrokerRef("127.0.0.2", port)  # a target that is never dialled
+    broker = EdgeBroker(port=port).start()
+    try:
+        for i in range(3):
+            put(broker.address, f"t/{i}")
+        installed = topic_discovery(broker.address, 0.5, 0.3)
+        for step in steps:
+            changed = False
+            for op in step:
+                before = set(broker.topics())
+                if op[0] == "restart":
+                    broker.stop()
+                    broker = EdgeBroker(port=port).start()
+                    changed = True
+                elif op[0] == "publish":
+                    put(broker.address, f"t/{op[1]}")
+                else:
+                    broker.relocate_topic(f"t/{op[1]}",
+                                          known if op[2] else None)
+                changed |= set(broker.topics()) != before
+            versioned = topic_discovery(broker.address, 0.5, 0.3, installed)
+            full = topic_discovery(broker.address, 0.5, 0.3)
+            assert versioned == full == set(broker.topics())
+            assert (versioned is installed) == (not changed)
+            installed = versioned
+    finally:
+        broker.stop()
+
+
+def test_a_peer_without_a_version_always_gets_a_full_census():
+    subscribes = []
+
+    def census(conn):
+        sub = conn.recv(timeout=5)
+        if not isinstance(sub, Subscribe):
+            return  # a short-cut census: DISCONNECT right after CONNACK
+        subscribes.append(sub)
+        conn.send(SubAck(sub.packet_id, (Reason.SUCCESS,)))
+        conn.send(Publish("t", b"x", retain=True))
+        if conn.recv(timeout=5) == PingReq():
+            conn.send(PingResp())
+        conn.recv(timeout=5)
+
+    peer = ScriptedBroker(census)
+    try:
+        first = topic_discovery(peer.address, 0.5, 0.3)
+        second = topic_discovery(peer.address, 0.5, 0.3, first)
+    finally:
+        peer.stop()
+    assert first == second == {"t"}
+    assert len(subscribes) == 2
+
+
+@pytest.mark.parametrize("ending", ["silence", "disconnect"])
+def test_a_census_cut_short_is_replayed_next_time(ending):
+    """A census that ends before its PINGRESP keeps what it got, but not
+    the version, so the next census of that peer is full again."""
+    subscribes = []
+
+    def census(conn):
+        sub = conn.recv(timeout=5)
+        if not isinstance(sub, Subscribe):
+            return  # a short-cut census: DISCONNECT right after CONNACK
+        subscribes.append(sub)
+        conn.send(SubAck(sub.packet_id, (Reason.SUCCESS,)))
+        conn.send(Publish("t", b"x", retain=True))
+        if ending == "disconnect":
+            conn.send(Disconnect(Reason.NORMAL))
+        while conn.recv(timeout=5) is not None:
+            pass
+
+    peer = ScriptedBroker(census, connack=ConnAck(
+        Reason.SUCCESS, topic_table_version="v"))
+    try:
+        first = topic_discovery(peer.address, 0.5, 0.2)
+        second = topic_discovery(peer.address, 0.5, 0.2, first)
+    finally:
+        peer.stop()
+    assert first == second == {"t"}
+    assert len(subscribes) == 2
 
 
 # --- registry ---------------------------------------------------------------
@@ -285,14 +400,14 @@ def test_a_failed_sweep_lets_the_next_waiter_run_its_own(make_fleet,
     release = threading.Event()
     sweep = master_module.census_sweep
 
-    def second_one_fails(config):
+    def second_one_fails(config, *rest):
         calls.append(config)
         if len(calls) == 1:
             release.wait(timeout=5)
         elif len(calls) == 2:
             seed(brokers[0], "seeded/meanwhile")
             raise RuntimeError("sweep failed")
-        return sweep(config)
+        return sweep(config, *rest)
 
     monkeypatch.setattr(master_module, "census_sweep", second_one_fails)
     results = {}
@@ -643,6 +758,57 @@ def test_a_bounce_that_places_nothing_gets_one_sweep(make_fleet, make_master,
     assert len(sweeps) == 1
     # the bounce's census of the old home, then the sweep's
     assert census_count(censuses, brokers[0].address) == 2
+
+
+def test_a_miss_against_an_unchanged_fleet_replays_no_broker(
+        make_fleet, make_master, monkeypatch):
+    brokers, port = make_fleet(3)
+    for i, broker in enumerate(brokers):
+        seed(broker, f"t/{i}")
+    master = make_master(addresses(4), port)
+    subscribes = count_calls(monkeypatch, EdgeBroker, "_handle_subscribe")
+    with pytest.raises(NoSuchTopic):
+        transparent_subscribe(master.address, "nowhere", lambda packet: None,
+                              timeout=1.0)
+    assert subscribes == []
+    assert master.registry.find("t/2") == brokers[2].address
+
+
+def test_a_broker_restarted_on_its_address_gets_a_full_census(
+        make_fleet, make_master, monkeypatch, caplog, _broker_registry):
+    brokers, port = make_fleet(2)
+    seed(brokers[0], "t")
+    seed(brokers[1], "u")
+    master = make_master(addresses(3), port)
+    brokers[1].stop()
+    restarted = EdgeBroker(host="127.0.0.2", port=port).start()
+    _broker_registry.append(restarted)
+    seed(restarted, "u")  # the same topics as before the restart
+    subscribes = count_calls(monkeypatch, EdgeBroker, "_handle_subscribe")
+    caplog.set_level(logging.INFO, logger=master_module.__name__)
+    registry = master.refresh_registry()
+    assert [args[0] for args in subscribes] == [restarted]
+    assert registry.find("u") == restarted.address
+    logged = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("registry refreshed")]
+    assert logged[-1].endswith(" (1 of 2 census(es) short-cut)")
+
+
+def test_a_bounce_off_an_unchanged_broker_costs_one_handshake(
+        make_fleet, make_master, monkeypatch, caplog):
+    brokers, port = make_fleet(2)
+    seed(brokers[0], "t")
+    master = make_master(addresses(3), port)
+    subscribes = count_calls(monkeypatch, EdgeBroker, "_handle_subscribe")
+    caplog.set_level(logging.INFO, logger=master_module.__name__)
+    to_first = Disconnect(Reason.USE_ANOTHER_SERVER, brokers[0].address)
+    assert ask(master, "c1", "t") == to_first
+    assert ask(master, "c1", "t") == to_first  # a re-ask reads as a bounce
+    assert subscribes == []
+    logged = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("bounce census")]
+    assert len(logged) == 1
+    assert logged[0].endswith(" ms: 1 topic(s) before, 1 after (unchanged)")
 
 
 def test_a_redirect_opens_no_connection_to_its_target(make_fleet, make_master):

@@ -153,6 +153,37 @@ def test_unused_but_legal_properties_are_skipped():
     assert pkt == ConnAck(Reason.SUCCESS)
 
 
+VERSION_PAIR = hx("26 0013") + b"topic-table-version" + hx("0002") + b"v1"
+
+
+def connack_with(props: bytes) -> bytes:
+    body = bytes([0x00, 0x00, len(props)]) + props
+    return bytes([0x20, len(body)]) + body
+
+
+def test_a_connack_carries_the_topic_table_version():
+    packet = ConnAck(Reason.SUCCESS, topic_table_version="v1")
+    wire = connack_with(VERSION_PAIR)
+    assert encode(packet) == wire
+    assert decode(wire) == (packet, len(wire))
+
+
+def test_a_connack_without_a_version_keeps_its_bytes():
+    assert encode(ConnAck(Reason.SUCCESS)) == hx("20 03 00 00 00")
+
+
+def test_a_foreign_user_property_beside_the_version_is_skipped():
+    wire = connack_with(hx("26 0001 61 0001 62") + VERSION_PAIR)
+    assert decode(wire)[0] == ConnAck(Reason.SUCCESS, topic_table_version="v1")
+
+
+def test_conflicting_version_pairs_decode_as_no_version():
+    other = hx("26 0013") + b"topic-table-version" + hx("0002") + b"v2"
+    packet, _ = decode(connack_with(VERSION_PAIR + other + VERSION_PAIR))
+    assert packet == ConnAck(Reason.SUCCESS)
+    assert packet.topic_table_version is None
+
+
 def test_reason_string_property_is_accepted_on_disconnect():
     props = bytes([0x1F]) + hx("0003") + b"bye"
     body = bytes([0x8F, len(props)]) + props

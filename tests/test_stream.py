@@ -1,14 +1,17 @@
 """PacketConnection framing over a real TCP loopback connection, and a
-server that runs out of file descriptors."""
+server that runs out of file descriptors or reaches its connection cap."""
 
 import os
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from helpers import connect
+from tdmqtt import stream
 from tdmqtt.packets import BrokerRef, MalformedPacket, Publish, encode, encode_varint
 from tdmqtt.stream import MAX_PACKET_SIZE, PacketConnection, dial
 
@@ -108,3 +111,25 @@ def test_a_server_out_of_descriptors_accepts_again_once_some_close():
             except subprocess.TimeoutExpired:
                 child.kill()
                 raise
+
+
+def test_a_connection_over_the_cap_is_closed_at_accept(broker, monkeypatch):
+    monkeypatch.setattr(stream, "_MAX_CONNECTIONS", 2)
+    first, second = connect(broker.address), connect(broker.address)
+    try:
+        ref = broker.address
+        with socket.create_connection((ref.host, ref.port), timeout=2) as third:
+            assert third.recv(1) == b""  # EOF, not a wait for its CONNECT
+        first.close()
+        # the slot frees once the first connection's thread has ended
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                dial(ref, "", 1.0, ConnectionError).close()
+                break
+            except ConnectionError:
+                assert time.monotonic() < deadline, "no CONNACK after a close"
+                time.sleep(0.02)
+    finally:
+        first.close()
+        second.close()
