@@ -16,7 +16,10 @@ up.
 A client that asks again for the filter it was last sent away for has
 bounced off that broker.  The master then re-censuses that one broker
 before it answers, as the paper's T_change prices a topic change (one
-census plus one re-subscription); only a filter that still has no home
+census plus one re-subscription).  That census subscribes to the bounced
+filter alone, not to '#', so it replays only the topics the filter
+matches; the broker's other topics are kept from its last census, and
+its next census is a full one.  Only a filter that still has no home
 costs a census of the whole fleet.
 """
 
@@ -44,6 +47,7 @@ from .packets import (
     SubAck,
     Subscribe,
     redirect,
+    topic_matches,
     validate_filters,
 )
 from .stream import PacketConnection, Server, dial, serve_mqtt
@@ -172,7 +176,8 @@ class Topics(frozenset):
 
 
 def topic_discovery(ref: BrokerRef, timeout: float, listen_window: float,
-                    installed: frozenset[str] | None = None) -> frozenset[str]:
+                    installed: frozenset[str] | None = None,
+                    topic_filter: str = "#") -> frozenset[str]:
     """Ask one broker for its topic population.
 
     The CONNACK's topic-table version is read first.  When it equals the
@@ -195,6 +200,11 @@ def topic_discovery(ref: BrokerRef, timeout: float, listen_window: float,
     before its PINGRESP, the census keeps what it has, untagged, and
     logs a warning.
 
+    Any other `topic_filter` replays only the topics it matches: the
+    result is `installed` less the topics the filter matches, plus those
+    the replay listed.  It is never tagged, because it says nothing of
+    the topics outside the filter, so the next census is a full one.
+
     The census connects with an empty client id, so the broker assigns
     a fresh one and concurrent censuses of one broker never evict each
     other.  Raises BrokerUnreachable if the broker refuses, breaks the
@@ -207,8 +217,12 @@ def topic_discovery(ref: BrokerRef, timeout: float, listen_window: float,
         if version is not None \
                 and version == getattr(installed, "version", None):
             topics = installed
+        elif topic_filter == "#":
+            topics = _replay(conn, ref, timeout, listen_window, "#", version)
         else:
-            topics = _replay(conn, ref, timeout, listen_window, version)
+            listed = _replay(conn, ref, timeout, listen_window, topic_filter)
+            topics = Topics(listed | _unmatched(installed or frozenset(),
+                                                topic_filter))
         try:
             conn.send(Disconnect(Reason.NORMAL))
         except ConnectionClosed:
@@ -220,10 +234,20 @@ def topic_discovery(ref: BrokerRef, timeout: float, listen_window: float,
         conn.close()
 
 
+def _unmatched(topics: frozenset[str], topic_filter: str) -> frozenset[str]:
+    """The topics that topic_filter does not match."""
+    if not topic_filter.endswith("#"):
+        return topics - {topic_filter}
+    return frozenset(t for t in topics if not topic_matches(topic_filter, t))
+
+
 def _replay(conn: PacketConnection, ref: BrokerRef, timeout: float,
-            listen_window: float, version: str | None) -> Topics:
-    """The '#' census of topic_discovery, on a connection past CONNACK."""
-    conn.send(Subscribe(1, ("#",)))
+            listen_window: float, topic_filter: str,
+            version: str | None = None) -> Topics:
+    """The census of topic_discovery, on a connection past CONNACK: the
+    topics the broker replays for one subscription to topic_filter,
+    tagged with `version` only if its PINGRESP came."""
+    conn.send(Subscribe(1, (topic_filter,)))
     conn.send(PingReq())
     suback = conn.recv(timeout=timeout)
     if not isinstance(suback, SubAck) or suback.reasons[0] != Reason.SUCCESS:
@@ -271,11 +295,12 @@ def census_sweep(config: DiscoveryConfig, installed: Registry | None = None
 
 
 def _census(ref: BrokerRef, config: DiscoveryConfig,
-            installed: frozenset[str] | None) -> frozenset[str] | None:
+            installed: frozenset[str] | None,
+            topic_filter: str = "#") -> frozenset[str] | None:
     """One broker's topics, or None (logged) if it cannot be censused."""
     try:
         return topic_discovery(ref, config.timeout, config.listen_window,
-                               installed)
+                               installed, topic_filter)
     except BrokerUnreachable as exc:
         logger.warning("census failed: %s", exc)
         return None
@@ -292,12 +317,12 @@ class MasterBroker:
         self._lock = threading.Lock()
         self._sweep_lock = threading.Lock()  # held for the length of a census
         self._started = 0  # censuses started, of either scope
-        # scope (a broker, or None for the fleet) -> the number of its last
-        # census that returned
-        self._returned: dict[BrokerRef | None, int] = {}
+        # scope (a broker and filter, or None for the fleet) -> the number
+        # of its last census that returned
+        self._returned: dict[tuple[BrokerRef, str] | None, int] = {}
         self._registry = Registry()
-        # client id -> (filter, broker) of its last redirect
-        self._answers: dict[str, tuple[str, BrokerRef]] = {}
+        # client id -> (broker, filter) of its last redirect
+        self._answers: dict[str, tuple[BrokerRef, str]] = {}
         self._server = Server(host)
         self._stop = threading.Event()
 
@@ -338,16 +363,18 @@ class MasterBroker:
         (a fleet census; see _recensus)."""
         return self._recensus(None)
 
-    def _recensus(self, scope: BrokerRef | None) -> Registry:
-        """Census `scope`, one broker or (None) the whole fleet, and swap
-        in the result.  A broker's census replaces its topics, or drops
-        it if it does not answer; the new snapshot indexes only the
-        brokers whose topics changed.
+    def _recensus(self, scope: tuple[BrokerRef, str] | None) -> Registry:
+        """Census `scope`, one broker for one filter or (None) the whole
+        fleet for '#', and swap in the result.  A broker's census replaces
+        its topics, or drops it if it does not answer; the new snapshot
+        indexes only the brokers whose topics changed.
 
         Single-flight: every caller gets the result of a census of its
         scope, or of the fleet, that started after it called, so N
         concurrent callers cost at most two censuses of their scope, and
-        no census installs a view older than one that has returned.
+        no census installs a view older than one that has returned.  A
+        census of the same broker for another filter never serves: it
+        did not look at this filter's topics.
         """
         ticket = self._started
         with self._sweep_lock:
@@ -365,19 +392,21 @@ class MasterBroker:
                         sum(t is kept.get(r) for r, t in entries.items()),
                         len(entries))
                 else:
+                    ref, topic_filter = scope
                     began = time.monotonic()
-                    topics = _census(scope, self._discovery, kept.get(scope))
+                    topics = _census(ref, self._discovery, kept.get(ref),
+                                     topic_filter)
                     entries = dict(kept)
-                    before = len(entries.pop(scope, ()))
+                    before = len(entries.pop(ref, ()))
                     if topics is not None:
-                        entries[scope] = topics
+                        entries[ref] = topics
                     logger.info("bounce census of %s in %.1f ms: %d topic(s) "
-                                "before, %s after%s", scope,
+                                "before, %s after%s", ref,
                                 (time.monotonic() - began) * 1e3, before,
                                 "none (dropped)" if topics is None
                                 else len(topics),
                                 " (unchanged)" if topics is not None
-                                and topics is kept.get(scope) else "")
+                                and topics is kept.get(ref) else "")
                 registry = Registry(entries, installed)
                 with self._lock:
                     self._registry = registry
@@ -413,26 +442,26 @@ class MasterBroker:
 
         No target is probed.  A client that asks again for the filter it
         was last sent away for has bounced off that broker (it died, hung
-        or gave the topic up), so that one broker is censused again
-        before the first look.  A request that still finds no home gets
-        one fleet sweep and a second look.
+        or gave the topic up), so that one broker is censused again for
+        that filter before the first look.  A request that still finds
+        no home gets one fleet sweep and a second look.
         """
         if not filters:
             return redirect(None)
         with self._lock:
             last = self._answers.pop(client_id, None)
-        bounced = last is not None and last[0] in filters
-        registry = self._recensus(last[1]) if bounced else self.registry
+        bounced = last is not None and last[1] in filters
+        registry = self._recensus(last) if bounced else self.registry
         found = _place(registry, filters) \
             or _place(self.refresh_registry(), filters)
         if found is None:
             return redirect(None)
         filt, ref = found
         logger.info("redirecting %r to %s%s", filt, ref,
-                    f" (bounced off {last[1]})" if bounced else "")
+                    f" (bounced off {last[0]})" if bounced else "")
         if client_id:
             with self._lock:  # newest last, oldest dropped
-                self._answers[client_id] = (filt, ref)
+                self._answers[client_id] = (ref, filt)
                 if len(self._answers) > _ANSWERS_CAP:
                     del self._answers[next(iter(self._answers))]
         return redirect(ref)

@@ -271,6 +271,54 @@ def test_a_census_cut_short_is_replayed_next_time(ending):
     assert len(subscribes) == 2
 
 
+CHANGE = st.one_of(
+    st.tuples(st.just("publish"), TOPIC_IDS),  # a new topic or an update
+    st.tuples(st.just("relocate"), TOPIC_IDS, st.booleans()))
+BOUNCED_FILTER = st.one_of(st.sampled_from(["#", "t/#", "u/#"]),
+                           TOPIC_IDS.map("t/{}".format),
+                           filter_st.filter(bool))  # '' is no valid filter
+
+
+@settings(max_examples=30, deadline=None)
+@example([("relocate", 0, False)], "t/0")  # the census ends on a DISCONNECT
+@given(st.lists(CHANGE, max_size=4), BOUNCED_FILTER)
+def test_a_filtered_census_replaces_only_the_topics_its_filter_matches(
+        changes, topic_filter):
+    """After new topics, value updates and relocations on one broker, a
+    census for one filter keeps the earlier census's topics outside the
+    filter and takes what a full census lists inside it.  It carries no
+    version unless it was short-cut, so the census after it is full."""
+    port = free_port()
+    known = BrokerRef("127.0.0.2", port)  # a target that is never dialled
+    broker = EdgeBroker(port=port).start()
+    try:
+        for i in range(3):
+            put(broker.address, f"t/{i}")
+        installed = topic_discovery(broker.address, 0.5, 0.3)
+        changed = False  # did the topic table gain or lose a topic?
+        for op in changes:
+            before = set(broker.topics())
+            if op[0] == "publish":
+                put(broker.address, f"t/{op[1]}")
+            else:
+                broker.relocate_topic(f"t/{op[1]}", known if op[2] else None)
+            changed |= set(broker.topics()) != before
+        filtered = topic_discovery(broker.address, 0.5, 0.3, installed,
+                                   topic_filter)
+        full = topic_discovery(broker.address, 0.5, 0.3)
+        inside = {t for t in installed | full
+                  if topic_matches(topic_filter, t)}
+        assert filtered == (installed - inside) | (full & inside)
+        assert (filtered is installed) == (not changed)
+        if changed and topic_filter != "#":  # only a '#' census is tagged
+            assert filtered.version is None
+            after = topic_discovery(broker.address, 0.5, 0.3, filtered)
+            assert after is not filtered and after == full
+            assert after.version is not None
+    finally:
+        broker.stop()
+
+
 # --- registry ---------------------------------------------------------------
 
 def test_registry_find_prefers_lowest_address():
@@ -809,6 +857,64 @@ def test_a_bounce_off_an_unchanged_broker_costs_one_handshake(
               if r.getMessage().startswith("bounce census")]
     assert len(logged) == 1
     assert logged[0].endswith(" ms: 1 topic(s) before, 1 after (unchanged)")
+
+
+def test_a_bounce_asks_its_old_home_about_the_bounced_filter_only(
+        make_fleet, make_master, monkeypatch):
+    brokers, port = make_fleet(2)
+    seed(brokers[0], "t")
+    seed(brokers[0], "v")
+    seed(brokers[1], "t")
+    master = make_master(addresses(3), port)
+    assert ask(master, "c1", "t") == Disconnect(Reason.USE_ANOTHER_SERVER,
+                                                brokers[0].address)
+    brokers[0].relocate_topic("t", None)
+    subscribes = count_calls(monkeypatch, EdgeBroker, "_handle_subscribe")
+    assert ask(master, "c1", "t") == Disconnect(Reason.USE_ANOTHER_SERVER,
+                                                brokers[1].address)
+    assert [(args[0], args[2].filters) for args in subscribes] == [
+        (brokers[0], ("t",))]
+    assert master.registry.find("v") == brokers[0].address
+
+
+def test_a_bounce_for_another_filter_never_serves_as_this_ones_census(
+        make_fleet, make_master):
+    """c1 bounces on t with its ticket in hand, but waits at the sweep
+    lock while c2's census of the same broker for u runs: that census
+    did not look at t, so c1 still gets a census of its own."""
+    brokers, port = make_fleet(2)
+    for topic in ("t", "u"):
+        seed(brokers[0], topic)
+        seed(brokers[1], topic)
+    master = make_master(addresses(3), port)
+    to_first = Disconnect(Reason.USE_ANOTHER_SERVER, brokers[0].address)
+    to_second = Disconnect(Reason.USE_ANOTHER_SERVER, brokers[1].address)
+    assert ask(master, "c1", "t") == to_first
+    assert ask(master, "c2", "u") == to_first
+    brokers[0].relocate_topic("t", None)
+    brokers[0].relocate_topic("u", None)
+    bounced = []
+    master._sweep_lock = FirstTakerWaits(
+        master._sweep_lock, lambda: bounced.append(ask(master, "c2", "u")))
+    assert ask(master, "c1", "t") == to_second
+    assert bounced == [to_second]
+
+
+def test_a_filtered_bounce_census_leaves_the_next_census_full(
+        make_fleet, make_master):
+    """The bounce census for t never saw v arrive, so it must not take
+    the version that v moved: the next sweep replays the broker."""
+    brokers, port = make_fleet(2)
+    seed(brokers[0], "t")
+    seed(brokers[1], "t")
+    master = make_master(addresses(3), port)
+    assert ask(master, "c1", "t") == Disconnect(Reason.USE_ANOTHER_SERVER,
+                                                brokers[0].address)
+    seed(brokers[0], "v")
+    brokers[0].relocate_topic("t", None)
+    assert ask(master, "c1", "t") == Disconnect(Reason.USE_ANOTHER_SERVER,
+                                                brokers[1].address)
+    assert master.refresh_registry().find("v") == brokers[0].address
 
 
 def test_a_redirect_opens_no_connection_to_its_target(make_fleet, make_master):

@@ -6,7 +6,8 @@ MasterBroker.refresh_registry and Registry.find.  A rename in the package
 would break only traced benchmark runs, so each role's install() runs
 here, in an interpreter of its own since install() patches modules.  The
 master's census wrapper also reads the census result's length, so a
-full census and a short-cut one run under it too.
+full census, a short-cut one and one for a single filter run under it
+too.
 """
 
 import os
@@ -58,3 +59,29 @@ finally:
 
 def test_the_traced_census_counts_topics_when_full_and_short_cut():
     run_traced(CENSUS_TWICE)
+
+
+FILTERED_CENSUS = """
+import spans
+from tdmqtt import master
+from tdmqtt.broker import EdgeBroker
+from tdmqtt.client import publish
+
+rec = spans.Recorder("t")
+spans.install(rec, "master")
+broker = EdgeBroker(port=0).start()
+try:
+    publish(broker.address, "t", b"v", qos=1)
+    publish(broker.address, "u", b"v", qos=1)
+    counts = rec.state()["counts"]
+    merged = master.topic_discovery(broker.address, 2.0, 0.5,
+                                    frozenset({"u"}), "t")
+    assert isinstance(merged, frozenset) and merged == {"t", "u"}, merged
+    assert counts["master.census_topics"] == 2, counts
+finally:
+    broker.stop()
+"""
+
+
+def test_the_traced_census_counts_the_merged_topics_of_a_filtered_one():
+    run_traced(FILTERED_CENSUS)
