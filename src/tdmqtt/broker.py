@@ -71,7 +71,7 @@ class EdgeBroker:
         self._host = host
         self._port = port
         self._admin_port = admin_port
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._sessions: dict[str, _Session] = {}
         self._subscribers: dict[str, set[_Session]] = {}  # filter -> sessions
         self._messages: dict[str, tuple[bytes, int]] = {}  # topic -> last message

@@ -29,7 +29,6 @@ from .errors import (
 from .packets import (
     BrokerRef,
     Disconnect,
-    MalformedPacket,
     Packet,
     PingReq,
     PingResp,
@@ -41,7 +40,7 @@ from .packets import (
     validate_filter,
     validate_topic,
 )
-from .stream import PacketConnection, dial
+from .stream import PEER_FAILURES, PacketConnection, dial, exchange
 
 logger = logging.getLogger(__name__)
 
@@ -171,7 +170,7 @@ class SubscriberSession:
             if not isinstance(suback, SubAck) \
                     or suback.reasons[0] != Reason.SUCCESS:
                 raise BrokerUnreachable(f"{ref}: refused filter: {suback!r}")
-        except (ConnectionClosed, MalformedPacket, TimeoutError) as exc:
+        except PEER_FAILURES as exc:
             conn.close()
             raise BrokerUnreachable(f"{ref}: {exc}") from exc
         except BaseException:
@@ -229,7 +228,7 @@ class SubscriberSession:
                     self._note("moved", str(packet.server_reference or ""))
                     return packet.server_reference
                 # PingResp and stray acks just prove liveness
-        except (ConnectionClosed, MalformedPacket, TimeoutError, OSError) as exc:
+        except PEER_FAILURES as exc:
             if self._stop.is_set():
                 raise ConnectionClosed("session closed") from exc
             self._note("lost", str(self.broker or ""))
@@ -292,16 +291,17 @@ def publish(broker: BrokerRef, topic: str, payload: bytes, *, qos: int = 0,
     """One-shot publish straight to a broker.
 
     Raises Redirected when the broker reports the topic has moved, and
-    BrokerUnreachable when it cannot be reached at all.  A QoS 0 PUBLISH
-    gets no answer of its own, so a PINGREQ follows it: the edge broker
-    handles one connection's packets in order, so a redirect arrives
-    before the PINGRESP.
+    BrokerUnreachable when it cannot be reached at all or fails mid-way.
+    A QoS 0 PUBLISH gets no answer of its own, so a PINGREQ follows it:
+    the edge broker handles one connection's packets in order, so a
+    redirect arrives before the PINGRESP.  The whole conversation is one
+    stream.exchange: an accepted publish ends with a DISCONNECT.
     """
     validate_topic(topic)
     if qos not in (0, 1):
         raise ValueError(f"qos must be 0 or 1, got {qos}")
-    conn = dial(broker, _fresh_id("pub"), timeout, BrokerUnreachable)
-    try:
+    with exchange(broker, _fresh_id("pub"), timeout,
+                  BrokerUnreachable) as conn:
         conn.send(Publish(topic, payload, qos=qos,
                           packet_id=1 if qos else None))
         if not qos:
@@ -311,14 +311,6 @@ def publish(broker: BrokerRef, topic: str, payload: bytes, *, qos: int = 0,
             raise Redirected(reply.server_reference)
         if not isinstance(reply, PubAck if qos else PingResp):
             raise BrokerUnreachable(f"{broker}: unexpected reply {reply!r}")
-        try:
-            conn.send(Disconnect(Reason.NORMAL))
-        except ConnectionClosed:
-            pass
-    except (ConnectionClosed, MalformedPacket, TimeoutError) as exc:
-        raise BrokerUnreachable(f"{broker}: {exc}") from exc
-    finally:
-        conn.close()
 
 
 def transparent_publish(master: BrokerRef, topic: str, payload: bytes, *,
@@ -337,17 +329,18 @@ def transparent_publish(master: BrokerRef, topic: str, payload: bytes, *,
 
 def _until_reachable(ask: Callable[[], BrokerRef],
                      use: Callable[[BrokerRef], object]) -> tuple:
-    """use(ask()), asking again while the named broker is unreachable,
-    up to RESOLVE_ROUNDS answers.  Each ask repeats one question under
-    one client id: that is how the master learns an answer was stale."""
+    """use(ask()), asking again while the named broker is unreachable or
+    redirects the topic, up to RESOLVE_ROUNDS answers.  Each ask repeats
+    one question under one client id: that is how the master learns an
+    answer was stale and re-censuses that broker before answering."""
     for round_ in range(1, RESOLVE_ROUNDS + 1):
         ref = ask()
         try:
             return ref, use(ref)
-        except BrokerUnreachable as exc:
+        except (BrokerUnreachable, Redirected) as exc:
             if round_ == RESOLVE_ROUNDS:
                 raise
-            logger.debug("redirect target %s gone: %s", ref, exc)
+            logger.debug("redirect target %s stale: %s", ref, exc)
 
 
 def _ask_master(master: BrokerRef, client_id: str, request: Packet,
@@ -357,20 +350,16 @@ def _ask_master(master: BrokerRef, client_id: str, request: Packet,
 
     Raises NoSuchTopic when that DISCONNECT names no broker, and
     MasterUnreachable when the master cannot be asked or answers with
-    anything but at most one SUBACK and then the DISCONNECT.
+    anything but at most one SUBACK and then the DISCONNECT.  The ask is
+    one stream.exchange: our DISCONNECT follows the verdict.
     """
-    conn = dial(master, client_id, timeout, MasterUnreachable)
-    try:
+    with exchange(master, client_id, timeout, MasterUnreachable) as conn:
         conn.send(request)
         reply = conn.recv(timeout=timeout)
         if isinstance(reply, SubAck):
             reply = conn.recv(timeout=timeout)  # the verdict comes next
         if not isinstance(reply, Disconnect):
             raise MasterUnreachable(f"{master}: expected a redirect, got {reply!r}")
-        if reply.server_reference is None:
-            raise NoSuchTopic(topic)
-        return reply.server_reference
-    except (ConnectionClosed, MalformedPacket, TimeoutError) as exc:
-        raise MasterUnreachable(f"{master}: {exc}") from exc
-    finally:
-        conn.close()
+    if reply.server_reference is None:
+        raise NoSuchTopic(topic)
+    return reply.server_reference

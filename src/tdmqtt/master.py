@@ -33,11 +33,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
 
-from .errors import BrokerUnreachable, ConnectionClosed
+from .errors import BrokerUnreachable
 from .packets import (
     BrokerRef,
     Disconnect,
-    MalformedPacket,
     Packet,
     PingReq,
     PingResp,
@@ -50,7 +49,7 @@ from .packets import (
     topic_matches,
     validate_filters,
 )
-from .stream import PacketConnection, Server, dial, serve_mqtt
+from .stream import PacketConnection, Server, exchange, serve_mqtt
 
 logger = logging.getLogger(__name__)
 
@@ -207,31 +206,20 @@ def topic_discovery(ref: BrokerRef, timeout: float, listen_window: float,
 
     The census connects with an empty client id, so the broker assigns
     a fresh one and concurrent censuses of one broker never evict each
-    other.  Raises BrokerUnreachable if the broker refuses, breaks the
-    handshake, or dies mid-census; a DISCONNECT from the broker just
-    ends the census early.
+    other.  It is one stream.exchange, ending with a DISCONNECT: it
+    raises BrokerUnreachable if the broker refuses, breaks the handshake,
+    or dies mid-census; a DISCONNECT from the broker just ends it early.
     """
-    conn = dial(ref, "", timeout, BrokerUnreachable)
-    version = conn.connack.topic_table_version
-    try:
+    with exchange(ref, "", timeout, BrokerUnreachable) as conn:
+        version = conn.connack.topic_table_version
         if version is not None \
                 and version == getattr(installed, "version", None):
-            topics = installed
-        elif topic_filter == "#":
-            topics = _replay(conn, ref, timeout, listen_window, "#", version)
-        else:
-            listed = _replay(conn, ref, timeout, listen_window, topic_filter)
-            topics = Topics(listed | _unmatched(installed or frozenset(),
-                                                topic_filter))
-        try:
-            conn.send(Disconnect(Reason.NORMAL))
-        except ConnectionClosed:
-            pass
-        return topics
-    except (ConnectionClosed, MalformedPacket, TimeoutError) as exc:
-        raise BrokerUnreachable(f"{ref}: {exc}") from exc
-    finally:
-        conn.close()
+            return installed
+        if topic_filter == "#":
+            return _replay(conn, ref, timeout, listen_window, "#", version)
+        listed = _replay(conn, ref, timeout, listen_window, topic_filter)
+        return Topics(listed | _unmatched(installed or frozenset(),
+                                          topic_filter))
 
 
 def _unmatched(topics: frozenset[str], topic_filter: str) -> frozenset[str]:

@@ -3,16 +3,18 @@
 Packet framing over a blocking socket (`PacketConnection`), the server
 core both brokers run on (`Server`, which caps its connections, plus
 `serve_mqtt`), and the client side of the CONNECT/CONNACK handshake
-(`dial`, which keeps the CONNACK it read).
+(`dial`, which keeps the CONNACK it read).  `exchange` runs a one-shot
+client conversation; `PEER_FAILURES` lists the ways a peer fails one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import socket
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .errors import ConnectionClosed
 from .packets import (
@@ -37,6 +39,8 @@ HANDSHAKE_TIMEOUT = 10.0
 MAX_PACKET_SIZE = 1 << 20  # bytes; a larger declared packet ends the connection
 _ACCEPT_PAUSE = 0.1  # seconds; after a failed accept() (EMFILE, say)
 _MAX_CONNECTIONS = 1024  # per Server; one more is closed at accept
+# how a peer fails a conversation (TimeoutError is an OSError)
+PEER_FAILURES = (ConnectionClosed, MalformedPacket, OSError)
 
 
 class PacketConnection:
@@ -138,7 +142,7 @@ def dial(ref: BrokerRef, client_id: str, timeout: float,
         conn = open_connection(ref.host, ref.port, timeout)
         conn.send(Connect(client_id, keep_alive=keep_alive))
         ack = conn.recv(timeout=timeout)
-    except (ConnectionClosed, MalformedPacket, OSError) as exc:
+    except PEER_FAILURES as exc:
         if conn is not None:
             conn.close()
         raise unreachable(f"{ref}: {exc}") from exc
@@ -147,6 +151,24 @@ def dial(ref: BrokerRef, client_id: str, timeout: float,
         raise unreachable(f"{ref}: rejected connect: {ack!r}")
     conn.connack = ack
     return conn
+
+
+@contextlib.contextmanager
+def exchange(ref: BrokerRef, client_id: str, timeout: float,
+             unreachable: type[Exception]) -> Iterator[PacketConnection]:
+    """Dial and yield the connection; a body that ends cleanly is
+    followed by a DISCONNECT (lost on a peer that already left).  A peer
+    failure, in the handshake or the body, is raised as `unreachable`;
+    other exceptions pass.  The connection is closed either way."""
+    conn = dial(ref, client_id, timeout, unreachable)
+    try:
+        yield conn
+        with contextlib.suppress(ConnectionClosed):
+            conn.send(Disconnect(Reason.NORMAL))
+    except PEER_FAILURES as exc:
+        raise unreachable(f"{ref}: {exc}") from exc
+    finally:
+        conn.close()
 
 
 def serve_mqtt(sock: socket.socket,
@@ -182,7 +204,7 @@ def serve_mqtt(sock: socket.socket,
                 logger.debug("closing %s after %s", conn.peer,
                              type(packet).__name__)
                 return
-    except (ConnectionClosed, MalformedPacket, TimeoutError, OSError) as exc:
+    except PEER_FAILURES as exc:
         logger.debug("connection %s ended: %s", conn.peer, exc)
     finally:
         if session is not None and detach is not None:

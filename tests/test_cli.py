@@ -156,6 +156,21 @@ def test_pub_via_master(make_fleet, make_master, capsys):
     assert payloads == [b"hi"]
 
 
+def test_pub_via_master_follows_a_moved_topic(make_fleet, make_master):
+    brokers, port = make_fleet(2)
+    for broker in brokers:
+        seed(broker, "board")
+    master = make_master(["127.0.0.1", "127.0.0.2"], port)
+    brokers[0].relocate_topic("board", brokers[1].address)
+    rc = main(["pub", "--master", str(master.address), "--topic", "board", "hi"])
+    assert rc == 0
+    conn = connect(brokers[1].address, "check")
+    subscribe(conn, "board")
+    payloads = [p.payload for p in drain(conn) if isinstance(p, Publish)]
+    conn.close()
+    assert payloads == [b"hi"]
+
+
 def test_pub_unknown_topic_via_master_exits_3(make_master):
     master = make_master(["127.0.0.1"], free_port())
     assert main(["pub", "--master", str(master.address),

@@ -6,7 +6,14 @@ import time
 
 import pytest
 
-from helpers import ScriptedBroker, SilentBroker, wait_until
+from helpers import (
+    ScriptedBroker,
+    SilentBroker,
+    connect,
+    drain,
+    subscribe,
+    wait_until,
+)
 from tdmqtt import master as master_module
 from tdmqtt.client import (
     SessionState,
@@ -21,7 +28,19 @@ from tdmqtt.errors import (
     NoSuchTopic,
     Redirected,
 )
-from tdmqtt.packets import BrokerRef, MalformedFilter, Publish, redirect
+from tdmqtt.packets import (
+    BrokerRef,
+    Disconnect,
+    MalformedFilter,
+    PingReq,
+    PingResp,
+    PubAck,
+    Publish,
+    Reason,
+    SubAck,
+    Subscribe,
+    redirect,
+)
 
 
 class Sink:
@@ -367,6 +386,37 @@ def test_transparent_publish_unknown_topic(make_fleet, make_master):
         transparent_publish(master.address, "tp/none", b"v")
 
 
+@pytest.mark.parametrize("known_target", [True, False],
+                         ids=["known_target", "unknown_target"])
+def test_transparent_publish_follows_a_topic_its_home_relocated(
+        make_fleet, make_master, known_target):
+    brokers, port = make_fleet(2)
+    for broker in brokers:
+        publish(broker.address, "tp/moved", b"seed")
+    master = make_master(addresses(3), port)
+    # the registry still names the first broker, which now sends it away
+    brokers[0].relocate_topic(
+        "tp/moved", brokers[1].address if known_target else None)
+
+    target = transparent_publish(master.address, "tp/moved", b"routed")
+    assert target == brokers[1].address
+    conn = connect(brokers[1].address, "check")
+    subscribe(conn, "tp/moved")
+    replayed = [p.payload for p in drain(conn) if isinstance(p, Publish)]
+    conn.close()
+    assert replayed == [b"routed"]
+
+
+def test_transparent_publish_to_a_topic_relocated_to_nowhere(make_fleet,
+                                                             make_master):
+    brokers, port = make_fleet(2)
+    publish(brokers[0].address, "tp/gone", b"seed")
+    master = make_master(addresses(3), port)
+    brokers[0].relocate_topic("tp/gone", None)
+    with pytest.raises(NoSuchTopic):
+        transparent_publish(master.address, "tp/gone", b"v")
+
+
 @pytest.fixture
 def silent_peer():
     """A bare listener: TCP connects complete, nothing is ever answered."""
@@ -390,3 +440,100 @@ def silent_peer():
 def test_silent_peer_raises_the_role_error(silent_peer, call, error):
     with pytest.raises(error):
         call(silent_peer)
+
+
+# --- one exchange per request ---------------------------------------------------
+
+def hang_up(conn):
+    """Ends the conversation right after the CONNACK."""
+
+
+def garble(conn):
+    """Answers the client's first packet with bytes no packet starts with."""
+    conn.recv(timeout=5)
+    conn._sock.sendall(b"\x00\x00")  # packet type 0 is reserved
+    while conn.recv(timeout=5) is not None:
+        pass
+
+
+@pytest.mark.parametrize("script", [hang_up, garble])
+@pytest.mark.parametrize("call, error", [
+    (lambda ref: publish(ref, "t", b"v", timeout=0.5), BrokerUnreachable),
+    (lambda ref: publish(ref, "t", b"v", qos=1, timeout=0.5),
+     BrokerUnreachable),
+    (lambda ref: master_module.topic_discovery(ref, 0.5, 0.5),
+     BrokerUnreachable),
+    (lambda ref: transparent_publish(ref, "t", b"v", timeout=0.5),
+     MasterUnreachable),
+    (lambda ref: SubscriberSession(ref, "t", lambda packet: None,
+                                   timeout=0.5).open(),
+     MasterUnreachable),
+], ids=["publish", "publish_qos1", "topic_discovery", "transparent_publish",
+        "subscriber_open"])
+def test_a_failing_peer_raises_the_role_error(script, call, error):
+    """Never ConnectionClosed, MalformedPacket or TimeoutError."""
+    peer = ScriptedBroker(script)
+    try:
+        with pytest.raises(error):
+            call(peer.address)
+    finally:
+        peer.stop()
+
+
+def answering(received, redirect_to=None):
+    """A script that answers like an edge broker, or like a master when
+    `redirect_to` is given, and appends every packet it receives to
+    `received`, up to the client's hang-up (None)."""
+    def script(conn):
+        while True:
+            packet = conn.recv(timeout=5)
+            received.append(packet)
+            if packet is None:
+                return
+            if isinstance(packet, Subscribe):
+                conn.send(SubAck(packet.packet_id, (Reason.SUCCESS,)))
+            if redirect_to is not None \
+                    and isinstance(packet, (Subscribe, Publish)):
+                conn.send(redirect(redirect_to))
+            elif isinstance(packet, PingReq):
+                conn.send(PingResp())
+            elif isinstance(packet, Publish) and packet.qos:
+                conn.send(PubAck(packet.packet_id))
+    return script
+
+
+def hung_up_with_a_disconnect(received) -> bool:
+    wait_until(lambda: received[-1:] == [None])
+    return received[-2] == Disconnect(Reason.NORMAL)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ref: publish(ref, "t", b"v", timeout=0.5),
+    lambda ref: publish(ref, "t", b"v", qos=1, timeout=0.5),
+    lambda ref: master_module.topic_discovery(ref, 0.5, 0.5),
+], ids=["publish", "publish_qos1", "topic_discovery"])
+def test_a_clean_exchange_ends_with_a_disconnect(call):
+    received = []
+    peer = ScriptedBroker(answering(received))
+    try:
+        call(peer.address)
+        assert hung_up_with_a_disconnect(received), received
+    finally:
+        peer.stop()
+
+
+@pytest.mark.parametrize("ask", [
+    lambda master: transparent_publish(master, "t", b"v", timeout=0.5),
+    lambda master: SubscriberSession(master, "t", lambda packet: None,
+                                     timeout=0.5).open().close(),
+], ids=["transparent_publish", "subscriber_open"])
+def test_a_master_ask_ends_with_a_disconnect_after_the_verdict(ask):
+    at_broker, at_master = [], []
+    broker = ScriptedBroker(answering(at_broker))
+    master = ScriptedBroker(answering(at_master, broker.address))
+    try:
+        ask(master.address)
+        assert hung_up_with_a_disconnect(at_master), at_master
+    finally:
+        master.stop()
+        broker.stop()
