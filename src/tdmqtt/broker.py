@@ -41,9 +41,9 @@ from .packets import (
     Reason,
     SubAck,
     Subscribe,
+    matched_topics,
     matching_filters,
     redirect,
-    topic_matches,
     validate_filters,
 )
 from .errors import ConnectionClosed
@@ -64,7 +64,8 @@ class _Session:
 
 
 class EdgeBroker:
-    """Runs until stop(); every client connection gets its own thread."""
+    """Runs until stop(); each client connection is served on a worker
+    thread of its own while it lasts (see stream.Server)."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 1883,
                  admin_port: int | None = None):
@@ -168,7 +169,6 @@ class EdgeBroker:
     def _handle_subscribe(self, session: _Session, sub: Subscribe) -> bool:
         """Returns False when the session was redirected and must close."""
         reasons, accepted = validate_filters(sub.filters)
-        wildcards = [f for f in accepted if f.endswith("#")]
         # Routed publishes wait until the SUBACK and the replay are out;
         # the send lock is taken first, never while holding self._lock.
         with session.conn.send_lock:
@@ -176,11 +176,8 @@ class EdgeBroker:
                 for filt in accepted:
                     session.filters.add(filt)
                     self._subscribers.setdefault(filt, set()).add(session)
-                replay = {f for f in accepted if f in self._messages}
-                if wildcards:  # only a '#' filter walks the message table
-                    replay.update(
-                        topic for topic in self._messages
-                        if any(topic_matches(f, topic) for f in wildcards))
+                replay = set().union(*(matched_topics(f, self._messages)
+                                       for f in accepted))
                 snapshot = [(t, *self._messages[t]) for t in sorted(replay)]
                 notice = next((self._relocations[f] for f in accepted
                                if f in self._relocations), None)

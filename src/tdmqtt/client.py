@@ -163,9 +163,9 @@ class SubscriberSession:
     def _attach(self, ref: BrokerRef) -> PacketConnection:
         """Connect and subscribe at the broker the master named."""
         conn = dial(ref, self.client_id, self.timeout, BrokerUnreachable,
-                    keep_alive=int(self.keepalive))
+                    keep_alive=int(self.keepalive),
+                    requests=(Subscribe(1, (self.topic_filter,)),))
         try:
-            conn.send(Subscribe(1, (self.topic_filter,)))
             suback = conn.recv(timeout=self.timeout)
             if not isinstance(suback, SubAck) \
                     or suback.reasons[0] != Reason.SUCCESS:
@@ -295,17 +295,16 @@ def publish(broker: BrokerRef, topic: str, payload: bytes, *, qos: int = 0,
     A QoS 0 PUBLISH gets no answer of its own, so a PINGREQ follows it:
     the edge broker handles one connection's packets in order, so a
     redirect arrives before the PINGRESP.  The whole conversation is one
-    stream.exchange: an accepted publish ends with a DISCONNECT.
+    stream.exchange, with the PUBLISH sent alongside the CONNECT: an
+    accepted publish ends with a DISCONNECT.
     """
     validate_topic(topic)
     if qos not in (0, 1):
         raise ValueError(f"qos must be 0 or 1, got {qos}")
-    with exchange(broker, _fresh_id("pub"), timeout,
-                  BrokerUnreachable) as conn:
-        conn.send(Publish(topic, payload, qos=qos,
-                          packet_id=1 if qos else None))
-        if not qos:
-            conn.send(PingReq())
+    request = Publish(topic, payload, qos=qos, packet_id=1 if qos else None)
+    requests = (request,) if qos else (request, PingReq())
+    with exchange(broker, _fresh_id("pub"), timeout, BrokerUnreachable,
+                  requests) as conn:
         reply = conn.recv(timeout=timeout)
         if isinstance(reply, Disconnect):
             raise Redirected(reply.server_reference)
@@ -317,14 +316,26 @@ def transparent_publish(master: BrokerRef, topic: str, payload: bytes, *,
                         qos: int = 0, timeout: float = 2.0) -> BrokerRef:
     """Publish knowing only the master: ask it, then publish where it says.
 
-    Returns the broker that accepted the message.  NoSuchTopic when the
-    master knows no home for the topic.
+    A broker that sends the topic away to a named broker is followed
+    there once before the master is asked again, as a subscriber
+    follows a move.  Returns the broker that accepted the message.
+    NoSuchTopic when the master knows no home for the topic.
     """
     validate_topic(topic)
     ask = functools.partial(_ask_master, master, _fresh_id("pub"),
                             Publish(topic, payload, qos=0), topic, timeout)
-    return _until_reachable(ask, lambda target: publish(
-        target, topic, payload, qos=qos, timeout=timeout))[0]
+
+    def publish_at(target: BrokerRef) -> BrokerRef:
+        try:
+            publish(target, topic, payload, qos=qos, timeout=timeout)
+        except Redirected as exc:
+            if exc.reference is None:
+                raise
+            target = exc.reference
+            publish(target, topic, payload, qos=qos, timeout=timeout)
+        return target
+
+    return _until_reachable(ask, publish_at)[1]
 
 
 def _until_reachable(ask: Callable[[], BrokerRef],
@@ -351,10 +362,11 @@ def _ask_master(master: BrokerRef, client_id: str, request: Packet,
     Raises NoSuchTopic when that DISCONNECT names no broker, and
     MasterUnreachable when the master cannot be asked or answers with
     anything but at most one SUBACK and then the DISCONNECT.  The ask is
-    one stream.exchange: our DISCONNECT follows the verdict.
+    one stream.exchange, with the request sent alongside the CONNECT:
+    our DISCONNECT follows the verdict.
     """
-    with exchange(master, client_id, timeout, MasterUnreachable) as conn:
-        conn.send(request)
+    with exchange(master, client_id, timeout, MasterUnreachable,
+                  requests=(request,)) as conn:
         reply = conn.recv(timeout=timeout)
         if isinstance(reply, SubAck):
             reply = conn.recv(timeout=timeout)  # the verdict comes next

@@ -45,8 +45,8 @@ from .packets import (
     Reason,
     SubAck,
     Subscribe,
+    matched_topics,
     redirect,
-    topic_matches,
     validate_filters,
 )
 from .stream import PacketConnection, Server, exchange, serve_mqtt
@@ -224,9 +224,7 @@ def topic_discovery(ref: BrokerRef, timeout: float, listen_window: float,
 
 def _unmatched(topics: frozenset[str], topic_filter: str) -> frozenset[str]:
     """The topics that topic_filter does not match."""
-    if not topic_filter.endswith("#"):
-        return topics - {topic_filter}
-    return frozenset(t for t in topics if not topic_matches(topic_filter, t))
+    return topics - matched_topics(topic_filter, topics)
 
 
 def _replay(conn: PacketConnection, ref: BrokerRef, timeout: float,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Collection
 
 PROTOCOL_LEVEL = 5
 
@@ -280,6 +281,22 @@ def matching_filters(name: str) -> list[str]:
         slash = name.find("/", slash + 1)
     filters.append(name + "/#")
     return filters
+
+
+def matched_topics(filt: str, topics: Collection[str]) -> set[str]:
+    """The topics the filter matches, as topic_matches decides, found by
+    prefix: 'stem/#' matches the stem itself and every topic that
+    starts with 'stem/', '#' matches them all, and any other filter
+    matches only itself.  No topic is split into levels."""
+    if filt == "#":
+        return set(topics)
+    if not filt.endswith("/#"):
+        return {filt} if filt in topics else set()
+    prefix = filt[:-1]  # 'stem/'
+    found = {topic for topic in topics if topic.startswith(prefix)}
+    if prefix[:-1] in topics:
+        found.add(prefix[:-1])
+    return found
 
 
 # ---------------------------------------------------------------------------

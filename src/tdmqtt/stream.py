@@ -1,16 +1,19 @@
 """Connection lifecycle shared by every network role.
 
 Packet framing over a blocking socket (`PacketConnection`), the server
-core both brokers run on (`Server`, which caps its connections, plus
-`serve_mqtt`), and the client side of the CONNECT/CONNACK handshake
-(`dial`, which keeps the CONNACK it read).  `exchange` runs a one-shot
-client conversation; `PEER_FAILURES` lists the ways a peer fails one.
+core both brokers run on (`Server`, which caps its connections and
+serves them on reused worker threads, plus `serve_mqtt`), and the client
+side of the CONNECT/CONNACK handshake (`dial`, which can send the first
+requests with the CONNECT and keeps the CONNACK it read).  `exchange`
+runs a one-shot client conversation; `PEER_FAILURES` lists the ways a
+peer fails one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
+import queue
 import socket
 import threading
 import time
@@ -46,10 +49,11 @@ PEER_FAILURES = (ConnectionClosed, MalformedPacket, OSError)
 class PacketConnection:
     """One MQTT conversation over a TCP socket.
 
-    recv() returns whole packets; send() is safe to call from multiple
-    threads, and a thread holding `send_lock` keeps others' packets out
-    until it lets go.  A clean EOF on a packet boundary reads as None,
-    an EOF in the middle of a packet raises ConnectionClosed.
+    recv() returns whole packets; send() writes its packets in one
+    sendall and is safe to call from multiple threads, and a thread
+    holding `send_lock` keeps others' packets out until it lets go.  A
+    clean EOF on a packet boundary reads as None, an EOF in the middle
+    of a packet raises ConnectionClosed.
     """
 
     connack: ConnAck | None = None  # the peer's CONNACK, once dial() read it
@@ -64,8 +68,10 @@ class PacketConnection:
         except OSError:
             self.peer = "?"
 
-    def send(self, packet: Packet) -> None:
+    def send(self, packet: Packet, *more: Packet) -> None:
         data = encode(packet)
+        if more:
+            data += b"".join(map(encode, more))
         with self.send_lock:
             try:
                 self._sock.sendall(data)
@@ -130,9 +136,13 @@ def open_connection(host: str, port: int, timeout: float) -> PacketConnection:
 
 
 def dial(ref: BrokerRef, client_id: str, timeout: float,
-         unreachable: type[Exception], keep_alive: int = 0) -> PacketConnection:
+         unreachable: type[Exception], keep_alive: int = 0,
+         requests: tuple[Packet, ...] = ()) -> PacketConnection:
     """Connect to a broker or the master and complete CONNECT/CONNACK.
 
+    `requests` go out in the same write as the CONNECT, so the peer's
+    answer to them needs no extra round trip: MQTT 5 (3.1.4) lets a
+    client send before the CONNACK, and no role here refuses a CONNECT.
     The returned connection keeps the CONNACK as `conn.connack`.  On
     refusal, timeout, a broken handshake or a refused CONNECT the
     connection is closed and `unreachable` is raised.
@@ -140,7 +150,7 @@ def dial(ref: BrokerRef, client_id: str, timeout: float,
     conn = None
     try:
         conn = open_connection(ref.host, ref.port, timeout)
-        conn.send(Connect(client_id, keep_alive=keep_alive))
+        conn.send(Connect(client_id, keep_alive=keep_alive), *requests)
         ack = conn.recv(timeout=timeout)
     except PEER_FAILURES as exc:
         if conn is not None:
@@ -155,12 +165,14 @@ def dial(ref: BrokerRef, client_id: str, timeout: float,
 
 @contextlib.contextmanager
 def exchange(ref: BrokerRef, client_id: str, timeout: float,
-             unreachable: type[Exception]) -> Iterator[PacketConnection]:
-    """Dial and yield the connection; a body that ends cleanly is
-    followed by a DISCONNECT (lost on a peer that already left).  A peer
-    failure, in the handshake or the body, is raised as `unreachable`;
-    other exceptions pass.  The connection is closed either way."""
-    conn = dial(ref, client_id, timeout, unreachable)
+             unreachable: type[Exception],
+             requests: tuple[Packet, ...] = ()) -> Iterator[PacketConnection]:
+    """Dial, sending `requests` with the CONNECT, and yield the
+    connection; a body that ends cleanly is followed by a DISCONNECT
+    (lost on a peer that already left).  A peer failure, in the
+    handshake or the body, is raised as `unreachable`; other exceptions
+    pass.  The connection is closed either way."""
+    conn = dial(ref, client_id, timeout, unreachable, requests=requests)
     try:
         yield conn
         with contextlib.suppress(ConnectionClosed):
@@ -213,12 +225,16 @@ def serve_mqtt(sock: socket.socket,
 
 
 class Server:
-    """Listening sockets with one thread per accepted connection.
+    """Listening sockets whose connections run on reused worker threads.
 
-    Every accepted socket is tracked from accept on, so stop() also ends
-    connections that never finished a handshake or never speak MQTT.  At
-    most _MAX_CONNECTIONS are open at once, over all listeners; a socket
-    accepted beyond that is closed at once and logged.
+    A worker whose connection ended parks on a handoff queue, and the
+    next accepted socket goes to a parked worker; a thread is started
+    only when none is parked.  Every accepted socket is tracked from
+    accept on, so stop() also ends connections that never finished a
+    handshake or never speak MQTT.  At most _MAX_CONNECTIONS are open at
+    once, over all listeners; a socket accepted beyond that is closed at
+    once and logged.  A worker is started only while every other one
+    serves an open socket, so the cap bounds the workers too.
     """
 
     def __init__(self, host: str):
@@ -229,13 +245,16 @@ class Server:
         self._listeners: list[socket.socket] = []
         self._socks: set[socket.socket] = set()
         self._threads: list[threading.Thread] = []
+        self._parked = 0  # workers waiting on _handoff
+        # (socket, handler) for a parked worker; None tells it to exit
+        self._handoff: queue.SimpleQueue = queue.SimpleQueue()
 
     def listen(self, port: int,
                handler: Callable[[socket.socket], None]) -> int:
         """Bind and accept in the background; returns the bound port.
 
-        `handler(sock)` runs on the connection's own thread, and the
-        socket is closed after it returns.
+        `handler(sock)` runs on a worker thread, and the socket is
+        closed after it returns.
         """
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -254,14 +273,16 @@ class Server:
         # caller holds _lock, so stop() never misses a thread
         thread = threading.Thread(target=target, args=args, daemon=True)
         thread.start()
-        self._threads = [t for t in self._threads if t.is_alive()]
         self._threads.append(thread)
 
     def stop(self) -> None:
-        with self._lock:  # from here on no connection gets a thread
+        with self._lock:  # from here on no connection gets a worker
             self._stopped = True
             socks = list(self._socks)
             threads = list(self._threads)
+            for _ in range(self._parked):
+                self._handoff.put(None)
+            self._parked = 0
         for sock in self._listeners + socks:
             try:
                 # a bare close() leaves accept() and recv() blocked
@@ -293,17 +314,31 @@ class Server:
                 if not full:
                     self._socks.add(sock)
                     self.connection_count += 1
-                    self._start(self._serve, sock, handler)
+                    if self._parked:
+                        self._parked -= 1
+                        self._handoff.put((sock, handler))
+                    else:
+                        self._start(self._work, sock, handler)
             if full:
                 logger.warning("%d connections open; closing a new one",
                                _MAX_CONNECTIONS)
                 sock.close()
 
-    def _serve(self, sock: socket.socket,
-               handler: Callable[[socket.socket], None]) -> None:
-        try:
-            handler(sock)
-        finally:
+    def _work(self, sock: socket.socket,
+              handler: Callable[[socket.socket], None]) -> None:
+        """Serve one socket, then park for the next until stop()."""
+        while True:
+            try:
+                handler(sock)
+            finally:
+                with self._lock:
+                    self._socks.discard(sock)
+                sock.close()
             with self._lock:
-                self._socks.discard(sock)
-            sock.close()
+                if self._stopped:
+                    return
+                self._parked += 1
+            job = self._handoff.get()
+            if job is None:
+                return
+            sock, handler = job

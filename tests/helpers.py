@@ -13,6 +13,7 @@ from tdmqtt.packets import (
     Reason,
     Subscribe,
     SubAck,
+    encode,
 )
 from tdmqtt.stream import PacketConnection, open_connection
 
@@ -81,14 +82,19 @@ class ScriptedBroker:
     """Answers every CONNECT with `connack`, then runs `script(conn)` on
     that connection.
 
-    Each connection gets its own thread; the connection closes when the
-    script returns or fails.
+    With `late_connack`, the CONNACK goes out only once the packet after
+    the CONNECT has arrived too, as from a peer that reads what a client
+    sent ahead of the CONNACK before it answers; the script then reads
+    that packet first.  Each connection gets its own thread; the
+    connection closes when the script returns or fails.
     """
 
     def __init__(self, script, host: str = "127.0.0.1", port: int = 0,
-                 connack: ConnAck = ConnAck(Reason.SUCCESS)):
+                 connack: ConnAck = ConnAck(Reason.SUCCESS),
+                 late_connack: bool = False):
         self._script = script
         self._connack = connack
+        self._late_connack = late_connack
         self._listener = socket.socket()
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -126,6 +132,11 @@ class ScriptedBroker:
         try:
             if not isinstance(conn.recv(timeout=5), Connect):
                 return
+            if self._late_connack:
+                request = conn.recv(timeout=5)
+                if request is None:
+                    return
+                conn._buf[:0] = encode(request)  # read again by the script
             conn.send(self._connack)
             self._script(conn)
         except Exception:

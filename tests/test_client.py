@@ -386,12 +386,13 @@ def test_transparent_publish_unknown_topic(make_fleet, make_master):
         transparent_publish(master.address, "tp/none", b"v")
 
 
-@pytest.mark.parametrize("known_target", [True, False],
-                         ids=["known_target", "unknown_target"])
+@pytest.mark.parametrize("known_target, target_hosts_it", [
+    (True, True), (True, False), (False, True),
+], ids=["known_target", "known_target_without_the_topic", "unknown_target"])
 def test_transparent_publish_follows_a_topic_its_home_relocated(
-        make_fleet, make_master, known_target):
+        make_fleet, make_master, known_target, target_hosts_it):
     brokers, port = make_fleet(2)
-    for broker in brokers:
+    for broker in brokers if target_hosts_it else brokers[:1]:
         publish(broker.address, "tp/moved", b"seed")
     master = make_master(addresses(3), port)
     # the registry still names the first broker, which now sends it away
@@ -534,6 +535,26 @@ def test_a_master_ask_ends_with_a_disconnect_after_the_verdict(ask):
     try:
         ask(master.address)
         assert hung_up_with_a_disconnect(at_master), at_master
+    finally:
+        master.stop()
+        broker.stop()
+
+
+@pytest.mark.parametrize("late", ["master", "broker"])
+@pytest.mark.parametrize("call", [
+    lambda master: transparent_publish(master, "t", b"v", timeout=0.5),
+    lambda master: transparent_publish(master, "t", b"v", qos=1, timeout=0.5),
+    lambda master: SubscriberSession(master, "t", lambda packet: None,
+                                     timeout=0.5).open().close(),
+], ids=["transparent_publish", "transparent_publish_qos1", "subscriber_open"])
+def test_the_first_request_goes_out_with_the_connect(late, call):
+    """Peers that send the CONNACK only after the request: a client that
+    waited for the CONNACK before sending it would time out."""
+    broker = ScriptedBroker(answering([]), late_connack=late == "broker")
+    master = ScriptedBroker(answering([], broker.address),
+                            late_connack=late == "master")
+    try:
+        call(master.address)
     finally:
         master.stop()
         broker.stop()

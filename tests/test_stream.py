@@ -1,19 +1,22 @@
-"""PacketConnection framing over a real TCP loopback connection, and a
-server that runs out of file descriptors or reaches its connection cap."""
+"""PacketConnection framing over a real TCP loopback connection, a
+server that runs out of file descriptors or reaches its connection cap,
+and the server's reuse of its worker threads."""
 
 import os
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from helpers import connect
+from helpers import connect, wait_until
 from tdmqtt import stream
+from tdmqtt.broker import EdgeBroker
 from tdmqtt.packets import BrokerRef, MalformedPacket, Publish, encode, encode_varint
-from tdmqtt.stream import MAX_PACKET_SIZE, PacketConnection, dial
+from tdmqtt.stream import MAX_PACKET_SIZE, PacketConnection, dial, exchange
 
 
 @pytest.fixture
@@ -121,7 +124,7 @@ def test_a_connection_over_the_cap_is_closed_at_accept(broker, monkeypatch):
         with socket.create_connection((ref.host, ref.port), timeout=2) as third:
             assert third.recv(1) == b""  # EOF, not a wait for its CONNECT
         first.close()
-        # the slot frees once the first connection's thread has ended
+        # the slot frees once the first connection's handler has returned
         deadline = time.monotonic() + 5
         while True:
             try:
@@ -133,3 +136,40 @@ def test_a_connection_over_the_cap_is_closed_at_accept(broker, monkeypatch):
     finally:
         first.close()
         second.close()
+
+
+def test_sequential_connections_are_served_by_one_reused_thread(
+        make_broker, monkeypatch):
+    served = []  # the thread behind each connection, kept alive by the list
+    register = EdgeBroker._register
+
+    def recording(self, conn, connect):
+        served.append(threading.current_thread())
+        return register(self, conn, connect)
+
+    monkeypatch.setattr(EdgeBroker, "_register", recording)
+    broker = make_broker()
+    for _ in range(30):
+        with exchange(broker.address, "", 2.0, ConnectionError):
+            pass
+        # once its worker has parked, the next connection goes to it
+        wait_until(lambda: broker._server._parked == 1)
+    assert len(served) == 30
+    assert len(set(served)) == 1, f"{len(set(served))} threads for 30 connections"
+
+
+def test_stop_ends_every_worker_parked_or_serving(make_broker):
+    before = set(threading.enumerate())
+    broker = make_broker()
+    finished = [dial(broker.address, "", 2.0, ConnectionError)
+                for _ in range(3)]
+    for conn in finished:
+        conn.close()
+    wait_until(lambda: broker._server._parked == 3)
+    held = dial(broker.address, "", 2.0, ConnectionError)
+    try:
+        broker.stop()
+    finally:
+        held.close()
+    left = [t for t in threading.enumerate() if t not in before]
+    assert left == []

@@ -1,10 +1,11 @@
 """Topic name/filter rules and the multi-level wildcard matcher."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tdmqtt.packets import (
     MalformedFilter,
+    matched_topics,
     matching_filters,
     topic_matches,
     validate_filter,
@@ -82,6 +83,17 @@ def test_matching_filters_are_exactly_the_matching_filters(filt, name):
 def test_matching_filters_has_levels_plus_two_distinct_entries(name):
     filters = matching_filters(name)
     assert len(set(filters)) == len(filters) == name.count("/") + 3
+
+
+@given(filter_st, st.frozensets(name_st, max_size=12))
+@example("#", frozenset({"a", "/", "a/b"}))
+@example("/#", frozenset({"/", "", "/a", "a", "a/"}))
+@example("a//#", frozenset({"a/", "a//", "a//b", "a/b", "a"}))
+@example("a/b/#", frozenset({"a/b", "a/b/c", "a/bc", "a"}))  # stem is a topic
+def test_matched_topics_are_those_topic_matches_accepts(filt, topics):
+    expected = {t for t in topics if topic_matches(filt, t)}
+    assert matched_topics(filt, topics) == expected
+    assert matched_topics(filt, dict.fromkeys(topics)) == expected
 
 
 def test_matching_filters_of_a_two_level_name():
