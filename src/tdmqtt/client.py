@@ -304,7 +304,7 @@ def publish(broker: BrokerRef, topic: str, payload: bytes, *, qos: int = 0,
     request = Publish(topic, payload, qos=qos, packet_id=1 if qos else None)
     requests = (request,) if qos else (request, PingReq())
     with exchange(broker, _fresh_id("pub"), timeout, BrokerUnreachable,
-                  requests) as conn:
+                  requests=requests) as conn:
         reply = conn.recv(timeout=timeout)
         if isinstance(reply, Disconnect):
             raise Redirected(reply.server_reference)
