@@ -1,10 +1,11 @@
 """Edge broker: a small MQTT 5 broker that also remembers where topics went.
 
-Beyond plain publish/subscribe it keeps a relocation table.  When a topic
-has been handed to another broker, publishers and subscribers that touch
-it are cut off with a DISCONNECT naming the new broker (USE ANOTHER
-SERVER + server reference) or, when the destination is unknown, a plain
-TOPIC FILTER NOT ACCEPTED.
+Beyond plain publish/subscribe it keeps a relocation table, capped at
+its newest _RELOCATIONS_CAP topics.  When a topic has been handed to
+another broker, publishers and subscribers that touch it are cut off
+with a DISCONNECT naming the new broker (USE ANOTHER SERVER + server
+reference) or, when the destination is unknown, a plain TOPIC FILTER NOT
+ACCEPTED.
 
 Every publish updates the per-topic message table regardless of the
 retain flag, so a later subscribe replays the latest message of each
@@ -51,6 +52,8 @@ from .stream import PacketConnection, Server, serve_mqtt
 
 logger = logging.getLogger(__name__)
 
+_RELOCATIONS_CAP = 4096  # relocation notices a broker keeps
+
 
 class _Session:
     def __init__(self, conn: PacketConnection, client_id: str):
@@ -64,8 +67,8 @@ class _Session:
 
 
 class EdgeBroker:
-    """Runs until stop(); each client connection is served on a worker
-    thread of its own while it lasts (see stream.Server)."""
+    """Runs until stop(); each client connection is served, from accept
+    to close, by one worker thread of stream.Server."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 1883,
                  admin_port: int | None = None):
@@ -224,11 +227,16 @@ class EdgeBroker:
 
         Subscribers whose filters cover the topic (wildcards included) are
         told where it went; the topic leaves the local message table so it
-        no longer appears in topic enumerations.
+        no longer appears in topic enumerations.  The broker keeps the
+        notices of its last _RELOCATIONS_CAP relocated topics; a topic
+        whose notice was dropped is accepted again.
         """
         notice = redirect(target)
-        with self._lock:
+        with self._lock:  # newest last, oldest dropped
+            self._relocations.pop(topic, None)
             self._relocations[topic] = notice
+            if len(self._relocations) > _RELOCATIONS_CAP:
+                del self._relocations[next(iter(self._relocations))]
             if self._messages.pop(topic, None) is not None:
                 self._table_changes += 1
             affected = self._receivers(topic)

@@ -130,10 +130,10 @@ def cmd_sub(args, config: Config) -> int:
         sys.stdout.write("\n")
         sys.stdout.flush()
 
-    # the session thread writes stdout; it must be joined (via close)
-    # before the process exits, or shutdown can trip over its buffer
-    # lock.  Owning the session before any thread starts is what makes
-    # the finally airtight against a ^C landing mid-setup.
+    # the session's pump writes stdout; its run must end (close waits
+    # for it) before the process exits, or shutdown can trip over its
+    # buffer lock.  Owning the session before any thread starts is what
+    # makes the finally airtight against a ^C landing mid-setup.
     session = SubscriberSession(master, args.topic, on_message,
                                 keepalive=config.client.keepalive_s,
                                 timeout=config.client.timeout_s)

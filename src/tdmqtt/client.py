@@ -15,6 +15,7 @@ import functools
 import itertools
 import logging
 import os
+import queue
 import threading
 import time
 from typing import Callable
@@ -45,6 +46,9 @@ from .stream import PEER_FAILURES, PacketConnection, dial, exchange
 logger = logging.getLogger(__name__)
 
 _session_ids = itertools.count(1)
+# the one idle pump thread of this process, with its job queue
+_idle_pump: tuple[threading.Thread, queue.SimpleQueue] | None = None
+_idle_lock = threading.Lock()
 
 BACKOFF_FIRST = 0.5
 BACKOFF_CAP = 8.0
@@ -94,6 +98,7 @@ class SubscriberSession:
         self._stop = threading.Event()
         self._conn: PacketConnection | None = None
         self._thread: threading.Thread | None = None
+        self._ended = threading.Event()  # _run returned, its pump moved on
         self._attached_at = 0.0
         self._backoff = BACKOFF_FIRST
 
@@ -108,7 +113,7 @@ class SubscriberSession:
             return list(self._history)
 
     def open(self) -> "SubscriberSession":
-        """Resolve, attach, and start the pump thread.
+        """Resolve, attach, and start the session's pump.
 
         Blocks until the first attachment succeeds, so resolution
         problems (NoSuchTopic, MasterUnreachable, BrokerUnreachable)
@@ -121,11 +126,8 @@ class SubscriberSession:
         return self
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until the session thread ends; True once it has."""
-        if self._thread is None:
-            return True
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
+        """Block until the session's run ends; True once it has."""
+        return self._thread is None or self._ended.wait(timeout)
 
     def close(self) -> None:
         self._stop.set()
@@ -134,7 +136,7 @@ class SubscriberSession:
         if conn is not None:
             conn.close()
         if self._thread is not None and self._thread is not threading.current_thread():
-            self._thread.join(timeout=5)
+            self._ended.wait(timeout=5)
         self.state = SessionState.CLOSED
 
     # -- bookkeeping -----------------------------------------------------------
@@ -199,6 +201,7 @@ class SubscriberSession:
                 self.error = exc
                 break
         self._set_conn(None)
+        conn.close()  # _pump closed it, unless close() came before the pump
         self.state = SessionState.CLOSED
 
     def _pump(self, conn: PacketConnection) -> BrokerRef | None:
@@ -270,10 +273,41 @@ class SubscriberSession:
         raise ConnectionClosed("session closed")
 
     def _start_thread(self, conn: PacketConnection) -> None:
-        self._thread = threading.Thread(
-            target=self._run, args=(conn,),
-            name=f"subscriber-{self.client_id}", daemon=True)
+        """Run the session on the idle pump, or on a new one."""
+        global _idle_pump
+        with _idle_lock:
+            idle, _idle_pump = _idle_pump, None
+        if idle is not None:
+            self._thread, jobs = idle
+            jobs.put((self, conn))
+            return
+        self._thread = threading.Thread(target=_pump_sessions,
+                                        args=(self, conn), daemon=True)
         self._thread.start()
+
+
+def _pump_sessions(session: SubscriberSession, conn: PacketConnection) -> None:
+    """A pump thread: run sessions until one ends while another pump
+    is idle.  The session is marked ended only after this thread became
+    the idle pump, so a sequential open() finds it."""
+    global _idle_pump
+    me, jobs = threading.current_thread(), queue.SimpleQueue()
+    while True:
+        me.name = f"subscriber-{session.client_id}"
+        stay = False
+        try:
+            session._run(conn)
+            with _idle_lock:
+                stay = _idle_pump is None
+                if stay:
+                    _idle_pump = (me, jobs)
+        finally:
+            me.name = "subscriber-idle"
+            session._ended.set()
+        if not stay:
+            return
+        del session, conn  # an idle pump holds on to no session
+        session, conn = jobs.get()
 
 
 def transparent_subscribe(master: BrokerRef, topic_filter: str,

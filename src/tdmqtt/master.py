@@ -233,8 +233,7 @@ def _replay(conn: PacketConnection, ref: BrokerRef, timeout: float,
     """The census of topic_discovery, on a connection past CONNACK: the
     topics the broker replays for one subscription to topic_filter,
     tagged with `version` only if its PINGRESP came."""
-    conn.send(Subscribe(1, (topic_filter,)))
-    conn.send(PingReq())
+    conn.send(Subscribe(1, (topic_filter,)), PingReq())
     suback = conn.recv(timeout=timeout)
     if not isinstance(suback, SubAck) or suback.reasons[0] != Reason.SUCCESS:
         raise BrokerUnreachable(f"{ref}: census subscription refused")
@@ -416,8 +415,8 @@ class MasterBroker:
         conn, client_id = session
         if isinstance(packet, Subscribe):
             reasons, accepted = validate_filters(packet.filters)
-            conn.send(SubAck(packet.packet_id, reasons))
-            conn.send(self._redirect_for(client_id, accepted))
+            conn.send(SubAck(packet.packet_id, reasons),
+                      self._redirect_for(client_id, accepted))
         elif isinstance(packet, Publish):
             conn.send(self._redirect_for(client_id, [packet.topic]))
         return False

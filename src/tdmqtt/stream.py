@@ -2,18 +2,17 @@
 
 Packet framing over a blocking socket (`PacketConnection`), the server
 core both brokers run on (`Server`, which caps its connections and
-serves them on reused worker threads, plus `serve_mqtt`), and the client
-side of the CONNECT/CONNACK handshake (`dial`, which can send the first
-requests with the CONNECT and keeps the CONNACK it read).  `exchange`
-runs a one-shot client conversation; `PEER_FAILURES` lists the ways a
-peer fails one.
+serves them on worker threads that accept for themselves, plus
+`serve_mqtt`), and the client side of the CONNECT/CONNACK handshake
+(`dial`, which can send the first requests with the CONNECT and keeps
+the CONNACK it read).  `exchange` runs a one-shot client conversation;
+`PEER_FAILURES` lists the ways a peer fails one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
-import queue
 import socket
 import threading
 import time
@@ -225,16 +224,18 @@ def serve_mqtt(sock: socket.socket,
 
 
 class Server:
-    """Listening sockets whose connections run on reused worker threads.
+    """Listening sockets whose workers accept and serve for themselves.
 
-    A worker whose connection ended parks on a handoff queue, and the
-    next accepted socket goes to a parked worker; a thread is started
-    only when none is parked.  Every accepted socket is tracked from
-    accept on, so stop() also ends connections that never finished a
-    handshake or never speak MQTT.  At most _MAX_CONNECTIONS are open at
-    once, over all listeners; a socket accepted beyond that is closed at
-    once and logged.  A worker is started only while every other one
-    serves an open socket, so the cap bounds the workers too.
+    Each listener has its own workers, each blocked in accept() on the
+    listener (Linux wakes one per connection).  A worker that takes the
+    last waiting slot starts one more before it serves, and a worker
+    whose connection ended goes back to accept(), so no socket changes
+    threads.  Every accepted socket is tracked from accept on, so stop()
+    also ends connections that never finished a handshake or never speak
+    MQTT.  At most _MAX_CONNECTIONS are open at once, over all
+    listeners; a socket accepted beyond that is closed at once and
+    logged.  A worker is started only while every other worker of its
+    listener serves an open socket, so the cap bounds the workers too.
     """
 
     def __init__(self, host: str):
@@ -245,9 +246,7 @@ class Server:
         self._listeners: list[socket.socket] = []
         self._socks: set[socket.socket] = set()
         self._threads: list[threading.Thread] = []
-        self._parked = 0  # workers waiting on _handoff
-        # (socket, handler) for a parked worker; None tells it to exit
-        self._handoff: queue.SimpleQueue = queue.SimpleQueue()
+        self._waiting: dict[socket.socket, int] = {}  # listener -> in accept()
 
     def listen(self, port: int,
                handler: Callable[[socket.socket], None]) -> int:
@@ -261,7 +260,9 @@ class Server:
         listener.bind((self.host, port))
         listener.listen(64)
         self._listeners.append(listener)
-        self.spawn(self._accept_loop, listener, handler)
+        with self._lock:
+            self._waiting[listener] = 1
+            self._start(self._work, listener, handler)
         return listener.getsockname()[1]
 
     def spawn(self, target: Callable[..., None], *args) -> None:
@@ -280,9 +281,6 @@ class Server:
             self._stopped = True
             socks = list(self._socks)
             threads = list(self._threads)
-            for _ in range(self._parked):
-                self._handoff.put(None)
-            self._parked = 0
         for sock in self._listeners + socks:
             try:
                 # a bare close() leaves accept() and recv() blocked
@@ -294,8 +292,10 @@ class Server:
         for thread in threads:
             thread.join(timeout=2)
 
-    def _accept_loop(self, listener: socket.socket,
-                     handler: Callable[[socket.socket], None]) -> None:
+    def _work(self, listener: socket.socket,
+              handler: Callable[[socket.socket], None]) -> None:
+        """Accept and serve one socket at a time until stop().  The
+        caller counted this worker as waiting."""
         while True:
             try:
                 sock, _ = listener.accept()
@@ -314,31 +314,21 @@ class Server:
                 if not full:
                     self._socks.add(sock)
                     self.connection_count += 1
-                    if self._parked:
-                        self._parked -= 1
-                        self._handoff.put((sock, handler))
-                    else:
-                        self._start(self._work, sock, handler)
+                    self._waiting[listener] -= 1
+                    if not self._waiting[listener]:
+                        self._waiting[listener] = 1
+                        self._start(self._work, listener, handler)
             if full:
                 logger.warning("%d connections open; closing a new one",
                                _MAX_CONNECTIONS)
                 sock.close()
-
-    def _work(self, sock: socket.socket,
-              handler: Callable[[socket.socket], None]) -> None:
-        """Serve one socket, then park for the next until stop()."""
-        while True:
+                continue
             try:
                 handler(sock)
+            except Exception:  # a bug; the listener still needs this worker
+                logger.exception("connection handler failed")
             finally:
                 with self._lock:
                     self._socks.discard(sock)
+                    self._waiting[listener] += 1
                 sock.close()
-            with self._lock:
-                if self._stopped:
-                    return
-                self._parked += 1
-            job = self._handoff.get()
-            if job is None:
-                return
-            sock, handler = job

@@ -8,8 +8,10 @@ import time
 import pytest
 
 from helpers import admin_command, connect, drain, subscribe, wait_until
+from tdmqtt import broker as broker_module
 from tdmqtt.broker import EdgeBroker
-from tdmqtt.errors import BrokerUnreachable, ConnectionClosed
+from tdmqtt.client import publish
+from tdmqtt.errors import BrokerUnreachable, ConnectionClosed, Redirected
 from tdmqtt.master import topic_discovery
 from tdmqtt.packets import (
     BrokerRef,
@@ -376,6 +378,22 @@ def test_relocated_topic_leaves_the_topic_table(broker):
     assert broker.topics() == ["b"]
 
 
+def test_the_relocation_table_drops_its_oldest_notice_at_the_cap(
+        broker, monkeypatch):
+    monkeypatch.setattr(broker_module, "_RELOCATIONS_CAP", 3)
+    for topic in ("t0", "t1", "t2", "t3"):
+        broker.relocate_topic(topic, TARGET)
+    assert list(broker._relocations) == ["t1", "t2", "t3"]
+    broker.relocate_topic("t1", TARGET)  # relocated again: now the newest
+    broker.relocate_topic("t4", TARGET)
+    assert list(broker._relocations) == ["t3", "t1", "t4"]
+    for dropped in ("t0", "t2"):
+        publish(broker.address, dropped, b"back", qos=1)  # accepted again
+    with pytest.raises(Redirected):
+        publish(broker.address, "t1", b"v", qos=1)
+    assert broker.topics() == ["t0", "t2"]
+
+
 # --- admin channel -----------------------------------------------------------
 
 def test_admin_relocate_roundtrip(make_broker):
@@ -422,7 +440,7 @@ def test_stop_ends_every_connection():
         (broker.address.host, broker.address.port), timeout=2)
     admin = socket.create_connection(broker.admin_address, timeout=2)
     try:
-        # two accept loops plus one serving thread per connection
+        # per listener, one worker serving plus the one it started
         wait_until(lambda: len(spawned()) >= 4)
         start = time.monotonic()
         broker.stop()

@@ -1,6 +1,7 @@
 """Transparent subscriber sessions and the publish helpers."""
 
 import socket
+import sys
 import threading
 import time
 
@@ -304,6 +305,123 @@ def test_close_is_idempotent_and_final(make_fleet, make_master, sink, sessions):
     events_after = session.events()
     time.sleep(0.3)
     assert session.events() == events_after
+
+
+def test_sequential_sessions_are_pumped_by_one_reused_thread(
+        make_fleet, make_master):
+    brokers, port = make_fleet(1)
+    publish(brokers[0].address, "seq", b"v")
+    master = make_master(addresses(2), port)
+    pumps = []  # the thread behind each on_message, kept alive by the list
+    names, client_ids = [], []
+    for _ in range(10):
+        delivered = threading.Event()
+
+        def on_message(packet, delivered=delivered):
+            pumps.append(threading.current_thread())
+            names.append(threading.current_thread().name)
+            delivered.set()
+
+        session = transparent_subscribe(master.address, "seq", on_message,
+                                        keepalive=2.0, timeout=2.0)
+        client_ids.append(session.client_id)
+        try:
+            assert delivered.wait(5)
+        finally:
+            session.close()
+    assert len(pumps) == 10
+    assert len(set(pumps)) == 1, f"{len(set(pumps))} threads for 10 sessions"
+    # the traced benchmark attributes a pump's dials by this name
+    assert names == [f"subscriber-{cid}" for cid in client_ids]
+
+
+def test_close_inside_on_message_returns_and_ends_the_session(
+        make_fleet, make_master):
+    brokers, port = make_fleet(1)
+    publish(brokers[0].address, "inside", b"v")
+    master = make_master(addresses(2), port)
+    closed = threading.Event()
+
+    def on_message(packet):
+        session.close()  # on the session's own pump: must not wait on itself
+        closed.set()
+
+    session = SubscriberSession(master.address, "inside", on_message,
+                                keepalive=2.0, timeout=2.0)
+    try:
+        session.open()
+        assert closed.wait(5)
+        assert session.wait(5)
+        assert session.state is SessionState.CLOSED
+    finally:
+        session.close()
+
+
+def test_at_most_one_idle_pump_stays_after_concurrent_sessions(
+        make_fleet, make_master, sink):
+    brokers, port = make_fleet(1)
+    publish(brokers[0].address, "many", b"v")
+    master = make_master(addresses(2), port)
+    pumps = set()
+
+    def on_message(packet):
+        pumps.add(threading.current_thread())
+        sink(packet)
+
+    opened = [transparent_subscribe(master.address, "many", on_message,
+                                    keepalive=2.0, timeout=2.0)
+              for _ in range(4)]
+    try:
+        sink.wait(4)
+        assert len(pumps) == 4  # all four ran at once
+    finally:
+        for session in opened:
+            session.close()
+    assert all(session.wait(0) for session in opened)
+    wait_until(lambda: sum(t.is_alive() for t in pumps) <= 1)
+
+
+def test_racing_sessions_lose_no_session_and_keep_one_idle_pump(
+        make_fleet, make_master):
+    """Four threads open and close sessions at once; every session is
+    pumped, and the idle pump slot ends up holding at most one thread."""
+    brokers, port = make_fleet(1)
+    publish(brokers[0].address, "race", b"v")
+    master = make_master(addresses(2), port)
+    pumps, missed = set(), []
+
+    def opener():
+        for _ in range(10):
+            got = threading.Event()
+
+            def on_message(packet, got=got):
+                pumps.add(threading.current_thread())
+                got.set()
+
+            session = transparent_subscribe(master.address, "race",
+                                            on_message, keepalive=2.0,
+                                            timeout=2.0)
+            try:
+                if not got.wait(5):
+                    missed.append(session.client_id)
+            finally:
+                session.close()
+            if not session.wait(5):
+                missed.append(session.client_id)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    openers = [threading.Thread(target=opener) for _ in range(4)]
+    try:
+        for o in openers:
+            o.start()
+        for o in openers:
+            o.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(o.is_alive() for o in openers)
+    assert missed == []
+    wait_until(lambda: sum(t.is_alive() for t in pumps) <= 1)
 
 
 # --- publish helpers ---------------------------------------------------------

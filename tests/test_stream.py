@@ -141,21 +141,64 @@ def test_a_connection_over_the_cap_is_closed_at_accept(broker, monkeypatch):
 def test_sequential_connections_are_served_by_one_reused_thread(
         make_broker, monkeypatch):
     served = []  # the thread behind each connection, kept alive by the list
-    register = EdgeBroker._register
+    started = []  # every thread the server starts
+    register, start = EdgeBroker._register, stream.Server._start
 
     def recording(self, conn, connect):
         served.append(threading.current_thread())
         return register(self, conn, connect)
 
+    def counting(self, target, *args):
+        start(self, target, *args)
+        started.append(self._threads[-1])
+
     monkeypatch.setattr(EdgeBroker, "_register", recording)
+    monkeypatch.setattr(stream.Server, "_start", counting)
     broker = make_broker()
     for _ in range(30):
         with exchange(broker.address, "", 2.0, ConnectionError):
             pass
-        # once its worker has parked, the next connection goes to it
-        wait_until(lambda: broker._server._parked == 1)
+        # once its worker is back in accept(), the next connection finds
+        # two workers waiting and starts none
+        wait_until(lambda: not broker._server._socks)
     assert len(served) == 30
-    assert len(set(served)) == 1, f"{len(set(served))} threads for 30 connections"
+    # the first worker plus the one it started when it took the first
+    # connection; the old accept loop plus one parked worker also made two
+    assert len(started) == 2, f"{len(started)} threads for 30 connections"
+    assert set(served) <= set(started)
+
+
+def test_racing_connections_leave_every_idle_worker_counted(broker):
+    """Eight threads connect and hang up at once; every exchange is
+    served, and once all are closed each worker is counted as waiting
+    in accept(), so a lost update to the count shows."""
+    failures = []
+
+    def client():
+        for _ in range(25):
+            try:
+                with exchange(broker.address, "", 2.0, ConnectionError):
+                    pass
+            except ConnectionError as exc:
+                failures.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    clients = [threading.Thread(target=client) for _ in range(8)]
+    try:
+        for c in clients:
+            c.start()
+        for c in clients:
+            c.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(c.is_alive() for c in clients)
+    assert failures == []
+    server = broker._server
+    wait_until(lambda: not server._socks)
+    assert list(server._waiting.values()) == [len(server._threads)]
+    with exchange(broker.address, "", 2.0, ConnectionError):
+        pass
 
 
 def test_stop_ends_every_worker_parked_or_serving(make_broker):
@@ -165,9 +208,12 @@ def test_stop_ends_every_worker_parked_or_serving(make_broker):
                 for _ in range(3)]
     for conn in finished:
         conn.close()
-    wait_until(lambda: broker._server._parked == 3)
+    wait_until(lambda: not broker._server._socks)
     held = dial(broker.address, "", 2.0, ConnectionError)
     try:
+        # three connections at once left four workers: one serves `held`,
+        # three wait in accept()
+        assert len([t for t in threading.enumerate() if t not in before]) == 4
         broker.stop()
     finally:
         held.close()
