@@ -229,11 +229,15 @@ class EdgeBroker:
         told where it went; the topic leaves the local message table so it
         no longer appears in topic enumerations.  The broker keeps the
         notices of its last _RELOCATIONS_CAP relocated topics; a topic
-        whose notice was dropped is accepted again.
+        whose notice was dropped is accepted again.  A topic relocated to
+        this broker's own address is hosted here again: its notice goes,
+        no new one is kept, and its subscribers stay.
         """
         notice = redirect(target)
         with self._lock:  # newest last, oldest dropped
             self._relocations.pop(topic, None)
+            if target == self.address:
+                return
             self._relocations[topic] = notice
             if len(self._relocations) > _RELOCATIONS_CAP:
                 del self._relocations[next(iter(self._relocations))]

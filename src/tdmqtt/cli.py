@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qos", type=int, choices=(0, 1), default=0)
     p.add_argument("payload")
 
-    cmd("discover", "probe the fleet and print each broker's topics",
+    cmd("discover", "census the fleet and print each broker's topics",
         cmd_discover)
 
     p = cmd("eval", "print delay-model CSV", cmd_eval)

@@ -21,13 +21,13 @@ from .packets import BrokerRef
 
 ENV_VAR = "TDMQTT_CONFIG"
 
-# Refuse to expand a CIDR block into more probe targets than this; a typo'd
+# Refuse to expand a CIDR block into more census targets than this; a typo'd
 # /8 would otherwise produce sixteen million addresses.
 MAX_RANGE = 65536
 
 
 def expand_address_range(value) -> tuple[str, ...]:
-    """Turn a host, CIDR block, or list of either into probe addresses.
+    """Turn a host, CIDR block, or list of either into census addresses.
 
     "10.0.0.5" stays itself, "10.0.0.0/30" becomes its usable hosts,
     and anything that does not parse as an IP network (a hostname, say)

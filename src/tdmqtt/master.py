@@ -1,12 +1,13 @@
 """Master broker: finds edge brokers, maps their topics, redirects clients.
 
-The master never carries payload traffic.  It probes an address range for
-listening brokers, enumerates each broker's topics by subscribing to '#'
-and collecting the replayed messages up to a PINGRESP barrier, and keeps
-the result as an immutable registry snapshot.  Each broker's topics keep
-the topic-table version its CONNACK carried before that census; a later
-census that reads the same version in the CONNACK keeps those topics and
-hangs up, so an unchanged broker costs one handshake, not a replay.
+The master never carries payload traffic.  It censuses every configured
+address, with no probe first: it enumerates each listening broker's
+topics by subscribing to '#' and collecting the replayed messages up to
+a PINGRESP barrier, and keeps the result as an immutable registry
+snapshot.  Each broker's topics keep the topic-table version its CONNACK
+carried before that census; a later census that reads the same version
+in the CONNACK keeps those topics and hangs up, so an unchanged broker
+costs one handshake, not a replay.
 
 Clients connect as if the master were an ordinary broker; it answers
 their SUBSCRIBE (or PUBLISH) with a DISCONNECT carrying a server
@@ -30,6 +31,7 @@ import logging
 import socket
 import threading
 import time
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
 
@@ -53,8 +55,9 @@ from .stream import PacketConnection, Server, exchange, serve_mqtt
 
 logger = logging.getLogger(__name__)
 
-_PROBE_WORKERS = 32
 _ANSWERS_CAP = 4096  # clients whose last redirect the master remembers
+# the standing threads of every sweep and probe in the process
+_CENSUS_THREADS = ThreadPoolExecutor(32, thread_name_prefix="census")
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ class DiscoveryConfig:
 
     addresses: tuple[str, ...] = ()
     broker_port: int = 1883
-    timeout: float = 0.25        # per address: TCP probe, census CONNACK, SUBACK
+    timeout: float = 0.25        # per address: census dial, CONNACK, SUBACK
     listen_window: float = 0.5   # longest silence a census waits out
     refresh_period: float = 30.0
 
@@ -78,43 +81,53 @@ class DiscoveryConfig:
 class Registry:
     """One consistent view of who hosts what.  Never mutated in place.
 
-    Construction gives every broker the set of filters that can match
-    one of its topics (see packets.matching_filters), and find() returns
-    the first broker, in address order, whose set holds the filter.
-    Address order is 'host:port' string order: 127.0.0.10 sorts before
-    127.0.0.2.  A registry built with `previous` reuses the filter set
-    of every broker whose topics equal those `previous` holds for it, so
-    a change to one broker indexes that broker alone.
+    Construction sorts every broker's topics, and find() returns the
+    first broker, in address order, hosting a topic the filter matches:
+    an exact filter by set membership, 'stem/#' by the stem's membership
+    or by a bisect for the first topic at or after 'stem/', and '#' by
+    any topic.  Address order is 'host:port' string order: 127.0.0.10
+    sorts before 127.0.0.2.  A registry built with `previous` reuses the
+    index of every broker whose topics equal those `previous` holds for
+    it, so a change to one broker sorts that broker's topics alone.
     """
 
     topics_by_broker: dict[BrokerRef, frozenset[str]] = field(default_factory=dict)
     previous: InitVar[Registry | None] = None
-    # broker -> the filters matching its topics, in address order
-    _filters: dict[BrokerRef, dict[str, None]] = field(
+    # broker -> (its topics, the same topics sorted), in address order
+    _index: dict[BrokerRef, tuple[frozenset[str], list[str]]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self, previous: Registry | None):
         old = previous.topics_by_broker if previous is not None else {}
-        filters = {}
-        for ref in self.brokers():
+        index = {}
+        for ref in sorted(self.topics_by_broker, key=str):
             topics = self.topics_by_broker[ref]
             kept = old.get(ref)
             if kept is topics or kept == topics:  # 'is' spares a full compare
-                filters[ref] = previous._filters[ref]
+                index[ref] = previous._index[ref]
             else:
-                filters[ref] = _filters_matching(topics)
-        object.__setattr__(self, "_filters", filters)
+                index[ref] = (topics, sorted(topics))
+        object.__setattr__(self, "_index", index)
 
     def brokers(self) -> list[BrokerRef]:
-        return sorted(self.topics_by_broker, key=str)
+        return list(self._index)
 
     def topics_of(self, ref: BrokerRef) -> frozenset[str]:
         return self.topics_by_broker.get(ref, frozenset())
 
     def find(self, topic_filter: str) -> BrokerRef | None:
         """First broker (by address order) hosting a matching topic."""
-        for ref, filters in self._filters.items():
-            if topic_filter in filters:
+        if topic_filter != "#" and not topic_filter.endswith("/#"):
+            for ref, (topics, _) in self._index.items():
+                if topic_filter in topics:
+                    return ref
+            return None
+        # '#' is the prefix '', and 'stem/#' the stem or the prefix 'stem/'
+        stem, prefix = topic_filter[:-2], topic_filter[:-1]
+        for ref, (topics, ordered) in self._index.items():
+            at = bisect_left(ordered, prefix)
+            if stem in topics \
+                    or at < len(ordered) and ordered[at].startswith(prefix):
                 return ref
         return None
 
@@ -122,29 +135,8 @@ class Registry:
         return len(self.topics_by_broker)
 
 
-def _filters_matching(topics: frozenset[str]) -> dict[str, None]:
-    """Every filter that matches at least one of the topics, as the keys
-    of a dict: a set grown to the same size takes about five times the
-    memory (2 MiB against 0.4 MiB for 10 000 topics)."""
-    filters = {"#": None} if topics else {}
-    for topic in topics:
-        filters[topic] = None
-        # Longest prefix first: once a prefix's '/#' is present, an
-        # earlier topic has already added every shorter one.
-        filt, end = topic + "/#", len(topic)
-        while filt not in filters:
-            filters[filt] = None
-            end = topic.rfind("/", 0, end)
-            if end == -1:
-                break
-            filt = topic[:end + 1] + "#"
-    return filters
-
-
 def broker_discovery(config: DiscoveryConfig) -> list[BrokerRef]:
     """Probe every configured address; keep those that accept TCP."""
-    if not config.addresses:
-        return []
     refs = [BrokerRef(host, config.broker_port) for host in config.addresses]
 
     def accepts_tcp(ref: BrokerRef) -> bool:
@@ -155,8 +147,7 @@ def broker_discovery(config: DiscoveryConfig) -> list[BrokerRef]:
         except OSError:
             return False
 
-    with ThreadPoolExecutor(max_workers=min(_PROBE_WORKERS, len(refs))) as pool:
-        up = list(pool.map(accepts_tcp, refs))
+    up = list(_CENSUS_THREADS.map(accepts_tcp, refs))
     return sorted((ref for ref, ok in zip(refs, up) if ok), key=str)
 
 
@@ -260,34 +251,39 @@ def _replay(conn: PacketConnection, ref: BrokerRef, timeout: float,
 
 def census_sweep(config: DiscoveryConfig, installed: Registry | None = None
                  ) -> dict[BrokerRef, frozenset[str]]:
-    """Probe the fleet, then census every broker found, in parallel.
+    """Census every configured address, in parallel on the standing
+    census threads.
 
     Returns each answering broker's topics in 'host:port' string order.
+    No address is probed first: one with no broker fails the census
+    dial within config.timeout and drops out, and a refused dial is
+    logged at debug level only, since a configured range may have gaps.
     A broker whose topic-table version matches its topics in `installed`
     keeps that set for the cost of one handshake (see topic_discovery).
-    A broker that dies between probe and census just drops out; one
-    broker's failure never aborts the rest of the sweep.
+    One broker's failure never aborts the rest of the sweep.
     """
-    refs = broker_discovery(config)
-    if not refs:
-        return {}
+    refs = sorted({BrokerRef(host, config.broker_port)
+                   for host in config.addresses}, key=str)
     installed = installed or Registry()
-    with ThreadPoolExecutor(max_workers=min(_PROBE_WORKERS, len(refs))) as pool:
-        results = list(pool.map(
-            lambda ref: _census(ref, config, installed.topics_of(ref)), refs))
+    results = _CENSUS_THREADS.map(
+        lambda ref: _census(ref, config, installed.topics_of(ref), sweep=True),
+        refs)
     return {ref: topics for ref, topics in zip(refs, results)
             if topics is not None}
 
 
 def _census(ref: BrokerRef, config: DiscoveryConfig,
-            installed: frozenset[str] | None,
-            topic_filter: str = "#") -> frozenset[str] | None:
-    """One broker's topics, or None (logged) if it cannot be censused."""
+            installed: frozenset[str] | None, topic_filter: str = "#",
+            sweep: bool = False) -> frozenset[str] | None:
+    """One broker's topics, or None (logged) if it cannot be censused.
+    A failure is a warning, except a refused dial in a fleet `sweep`."""
     try:
         return topic_discovery(ref, config.timeout, config.listen_window,
                                installed, topic_filter)
     except BrokerUnreachable as exc:
-        logger.warning("census failed: %s", exc)
+        refused = sweep and isinstance(exc.__cause__, ConnectionRefusedError)
+        logger.log(logging.DEBUG if refused else logging.WARNING,
+                   "census failed: %s", exc)
         return None
 
 
@@ -344,7 +340,7 @@ class MasterBroker:
             return self._registry
 
     def refresh_registry(self) -> Registry:
-        """Probe, census every reachable broker, swap in the new snapshot
+        """Census every configured address, swap in the new snapshot
         (a fleet census; see _recensus)."""
         return self._recensus(None)
 

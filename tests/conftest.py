@@ -3,6 +3,7 @@ import socket
 
 import pytest
 
+import helpers
 from tdmqtt.broker import EdgeBroker
 from tdmqtt.master import DiscoveryConfig, MasterBroker
 
@@ -16,6 +17,13 @@ def free_port() -> int:
 @pytest.fixture(autouse=True)
 def _quiet_logs(caplog):
     caplog.set_level(logging.WARNING)
+
+
+@pytest.fixture(autouse=True)
+def _close_connections():
+    yield
+    while helpers.opened:
+        helpers.opened.pop().close()
 
 
 @pytest.fixture

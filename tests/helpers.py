@@ -18,11 +18,15 @@ from tdmqtt.packets import (
 from tdmqtt.stream import PacketConnection, open_connection
 
 RECV_TIMEOUT = 2.0
+opened: list[PacketConnection] = []  # by connect(); conftest closes them
 
 
 def connect(ref: BrokerRef, client_id: str = "", keep_alive: int = 0,
             timeout: float = RECV_TIMEOUT) -> PacketConnection:
+    """A connection past its CONNACK, closed when the test ends if the
+    test did not close it."""
     conn = open_connection(ref.host, ref.port, timeout)
+    opened.append(conn)
     conn.send(Connect(client_id, keep_alive=keep_alive))
     ack = conn.recv(timeout=timeout)
     assert isinstance(ack, ConnAck) and ack.reason == 0, ack

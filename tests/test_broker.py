@@ -414,6 +414,26 @@ def test_admin_relocate_without_target(make_broker):
     assert conn.recv(timeout=2) == Disconnect(Reason.TOPIC_FILTER_NOT_ACCEPTED)
 
 
+def test_admin_relocate_to_its_own_address_hosts_the_topic_again(make_broker):
+    """Moved away and back, then back again while a subscriber holds it:
+    no notice is left, the subscriber stays and nobody reconnects."""
+    broker = make_broker(admin=True)
+    home = str(broker.address)
+    before = broker._server.connection_count
+    for target in ("b7:1883", home):
+        assert admin_command(broker.admin_address,
+                             f"RELOCATE t {target}") == "OK"
+    sub = connect(broker.address, "sub")
+    assert subscribe(sub, "t").reasons == (Reason.SUCCESS,)
+    assert admin_command(broker.admin_address, f"RELOCATE t {home}") == "OK"
+    pub = connect(broker.address, "pub")
+    pub.send(Publish("t", b"v", qos=1, packet_id=1))
+    assert pub.recv(timeout=2) == PubAck(1, Reason.SUCCESS)
+    assert sub.recv(timeout=2) == Publish("t", b"v", qos=1, packet_id=1)
+    assert broker.topics() == ["t"]
+    assert broker._server.connection_count == before + 5  # 3 admin, sub, pub
+
+
 @pytest.mark.parametrize("line,fragment", [
     ("", "empty"),
     ("NOPE x", "unknown command"),

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, output formats, role lifecycles."""
 
+import contextlib
 import json
 import select
 import signal
@@ -229,10 +230,18 @@ def test_sub_requires_topic():
 
 # --- whole processes --------------------------------------------------------------
 
-def spawn(*args):
-    return subprocess.Popen(
-        [sys.executable, "-m", "tdmqtt", *args],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+@contextlib.contextmanager
+def spawned(*args):
+    """A `tdmqtt` process, killed if still running when the block ends;
+    its pipes are closed either way."""
+    with subprocess.Popen([sys.executable, "-m", "tdmqtt", *args],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        try:
+            yield proc
+        finally:
+            if proc.poll() is None:
+                proc.kill()
 
 
 def wait_for_listener(port, deadline=5.0):
@@ -268,45 +277,34 @@ def test_default_client_ids_differ_between_processes():
 
 
 def test_help_exits_0():
-    proc = spawn("--help")
-    assert finish(proc) == 0
+    with spawned("--help") as proc:
+        assert finish(proc) == 0
 
 
 def test_broker_process_serves_until_interrupted(make_fleet):
     port = free_port()
-    proc = spawn("broker", "--listen", f"127.0.0.1:{port}")
-    try:
+    with spawned("broker", "--listen", f"127.0.0.1:{port}") as proc:
         wait_for_listener(port)
         proc.send_signal(signal.SIGINT)
         assert finish(proc) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
 
 
 def test_master_process_serves_until_interrupted():
     port = free_port()
-    proc = spawn("master", "--listen", f"127.0.0.1:{port}")
-    try:
+    with spawned("master", "--listen", f"127.0.0.1:{port}") as proc:
         wait_for_listener(port)
         proc.send_signal(signal.SIGINT)
         assert finish(proc) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
 
 
 def test_sub_process_streams_payloads(make_fleet, make_master):
     brokers, port = make_fleet(1)
     seed(brokers[0], "news", b"breaking")
     master = make_master(["127.0.0.1"], port)
-    proc = spawn("sub", "--topic", "news", "--master", str(master.address))
-    try:
+    with spawned("sub", "--topic", "news",
+                 "--master", str(master.address)) as proc:
         ready, _, _ = select.select([proc.stdout], [], [], 8.0)
         assert ready, "no payload line within 8s"
         assert proc.stdout.readline() == "breaking\n"
         proc.send_signal(signal.SIGINT)
         assert finish(proc) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()

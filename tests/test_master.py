@@ -391,8 +391,8 @@ def test_a_rebuilt_registry_reuses_an_unchanged_brokers_filter_set():
     old = Registry({r1: frozenset({"a/b"}), r2: frozenset({"c"})})
     new = Registry({r1: frozenset({"a/b"}), r2: frozenset({"d"}),
                     r3: frozenset({"c"})}, old)
-    assert new._filters[r1] is old._filters[r1]  # an equal, new frozenset
-    assert new._filters[r2] is not old._filters[r2]
+    assert new._index[r1] is old._index[r1]  # an equal, new frozenset
+    assert new._index[r2] is not old._index[r2]
     assert (new.find("a/#"), new.find("c"), new.find("d")) == (r1, r3, r2)
 
 
@@ -425,16 +425,58 @@ def test_resolve_with_refresh_sees_late_topics(make_fleet, make_master):
 
 
 def test_a_sweep_indexes_only_the_brokers_whose_topics_changed(
-        make_fleet, make_master, monkeypatch):
+        make_fleet, make_master):
     brokers, port = make_fleet(2)
     seed(brokers[0], "a/b")
     master = make_master(addresses(3), port)
-    indexed = count_calls(monkeypatch, master_module, "_filters_matching")
-    master.refresh_registry()
-    assert indexed == []
+    first = master.registry._index
+    unchanged = master.refresh_registry()._index
+    assert unchanged.keys() == first.keys()
+    assert all(unchanged[ref] is first[ref] for ref in first)
     seed(brokers[1], "c")
-    assert master.refresh_registry().find("c") == brokers[1].address
-    assert indexed == [(frozenset({"c"}),)]
+    registry = master.refresh_registry()
+    assert registry.find("c") == brokers[1].address
+    assert registry._index[brokers[0].address] is first[brokers[0].address]
+    assert registry._index[brokers[1].address] \
+        is not first[brokers[1].address]
+
+
+def test_a_fleet_census_opens_one_connection_per_live_broker(make_fleet,
+                                                           make_master):
+    brokers, port = make_fleet(2)
+    seed(brokers[0], "t")
+    master = make_master(addresses(3), port)
+    before = [b._server.connection_count for b in brokers]
+    master.refresh_registry()
+    assert [b._server.connection_count for b in brokers] == [
+        n + 1 for n in before]
+
+
+def test_a_second_sweep_starts_no_thread(make_fleet, make_master,
+                                         monkeypatch):
+    brokers, port = make_fleet(2)
+    seed(brokers[1], "t")
+    master = make_master(addresses(3), port)  # the first sweep
+    sweeper, started = threading.current_thread(), []
+    start = threading.Thread.start
+
+    def counted(thread):
+        if threading.current_thread() is sweeper:
+            started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    assert master.refresh_registry().find("t") == brokers[1].address
+    assert started == []
+
+
+def test_a_sweep_logs_no_warning_for_a_dead_address(make_fleet, make_master,
+                                                    caplog):
+    brokers, port = make_fleet(1)
+    master = make_master(addresses(3), port)  # 127.0.0.2 and .3 refuse
+    assert master.refresh_registry().brokers() == [brokers[0].address]
+    assert [r.getMessage() for r in caplog.records
+            if r.levelno >= logging.WARNING] == []
 
 
 def test_a_failed_sweep_lets_the_next_waiter_run_its_own(make_fleet,
@@ -591,7 +633,7 @@ def test_concurrent_misses_share_registry_sweeps(make_fleet, make_master,
     _, port = make_fleet(1)
     master = make_master(addresses(2), port)
     clients = 8
-    sweeps = count_calls(monkeypatch, master_module, "broker_discovery",
+    sweeps = count_calls(monkeypatch, master_module, "census_sweep",
                          before=hold_until_connected(master, clients))
     start = threading.Barrier(clients)
 
@@ -622,7 +664,7 @@ def ask(master, client_id, filt):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    return count_calls(monkeypatch, master_module, "broker_discovery")
+    return count_calls(monkeypatch, master_module, "census_sweep")
 
 
 @pytest.fixture
