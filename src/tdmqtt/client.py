@@ -3,9 +3,10 @@
 A subscriber session knows only the master's address.  It asks the
 master, follows the redirect to whichever edge broker hosts the topic,
 and keeps the subscription alive from there on: broker silence is probed
-with pings, redirects are followed directly, and anything unrecoverable
-goes back to the master for a fresh answer.  The owner just receives
-messages on a callback.
+with pings, redirects are followed directly unless one names a broker
+that moved the session away since its last message, and anything
+unrecoverable goes back to the master for a fresh answer.  The owner
+just receives messages on a callback.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ class SubscriberSession:
         self._ended = threading.Event()  # _run returned, its pump moved on
         self._attached_at = 0.0
         self._backoff = BACKOFF_FIRST
+        self._left: set[BrokerRef] = set()  # moved off since the last message
 
     # -- public surface ------------------------------------------------------
 
@@ -224,11 +226,13 @@ class SubscriberSession:
                         conn.send(PubAck(packet.packet_id))
                     if not delivered:
                         self._note("message", packet.topic)
+                        self._left.clear()
                         delivered = True
                     self.on_message(packet)
                 elif isinstance(packet, Disconnect):
                     # a target, or shutdown / unknown destination / odd reason
                     self._note("moved", str(packet.server_reference or ""))
+                    self._left.add(self.broker)
                     return packet.server_reference
                 # PingResp and stray acks just prove liveness
         except PEER_FAILURES as exc:
@@ -246,12 +250,16 @@ class SubscriberSession:
     def _reattach(self, target: BrokerRef | None) -> PacketConnection:
         """The next connection after an attachment ended: the named
         target, else the master's answer, asked for until one works or
-        the topic is gone.  An attachment that bounced straight back
-        pauses first, so a lagging directory cannot turn into a
-        reconnect storm.
+        the topic is gone.  A target that moved this session away since
+        its last message is not followed: a topic moved back would loop.
+        An attachment that bounced straight back pauses first, so a
+        lagging directory cannot turn into a reconnect storm.
         """
         self.state = SessionState.RECONNECTING
-        if target is not None:
+        if target in self._left:
+            logger.info("moved back to %s with no message between; "
+                        "asking the master", target)
+        elif target is not None:
             try:
                 return self._attach(target)
             except BrokerUnreachable as exc:

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import functools
 import logging
-import socket
 import threading
 import time
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 from .errors import BrokerUnreachable
 from .packets import (
@@ -56,7 +55,7 @@ from .stream import PacketConnection, Server, exchange, serve_mqtt
 logger = logging.getLogger(__name__)
 
 _ANSWERS_CAP = 4096  # clients whose last redirect the master remembers
-# the standing threads of every sweep and probe in the process
+# the standing threads of every census sweep in the process
 _CENSUS_THREADS = ThreadPoolExecutor(32, thread_name_prefix="census")
 
 
@@ -77,40 +76,46 @@ class DiscoveryConfig:
                 raise ValueError(f"{name} must be positive")
 
 
+class Topics(frozenset):
+    """One broker's topics as a census listed them, sorted once into
+    `ordered` when built, with the topic-table version its CONNACK
+    carried before the census began.  The version is None when the
+    broker sent none or the census ended before its PINGRESP: such a set
+    is never trusted to be complete."""
+
+    __slots__ = ("version", "ordered")
+
+    def __new__(cls, topics, version: str | None = None):
+        self = super().__new__(cls, topics)
+        self.version = version
+        self.ordered = sorted(self)
+        return self
+
+
 @dataclass(frozen=True)
 class Registry:
     """One consistent view of who hosts what.  Never mutated in place.
 
-    Construction sorts every broker's topics, and find() returns the
-    first broker, in address order, hosting a topic the filter matches:
-    an exact filter by set membership, 'stem/#' by the stem's membership
-    or by a bisect for the first topic at or after 'stem/', and '#' by
-    any topic.  Address order is 'host:port' string order: 127.0.0.10
-    sorts before 127.0.0.2.  A registry built with `previous` reuses the
-    index of every broker whose topics equal those `previous` holds for
-    it, so a change to one broker sorts that broker's topics alone.
+    Maps each broker to its Topics in address order, 'host:port' string
+    order (127.0.0.10 sorts before 127.0.0.2); a plain set passed in is
+    wrapped in a Topics.  find() returns the first broker hosting a topic
+    the filter matches: an exact filter by set membership, 'stem/#' by
+    the stem's membership or by a bisect of the sorted topics for the
+    first at or after 'stem/', and '#' by any topic.  A census that
+    short-cuts returns the installed Topics itself, so an unchanged
+    broker is never sorted again.
     """
 
-    topics_by_broker: dict[BrokerRef, frozenset[str]] = field(default_factory=dict)
-    previous: InitVar[Registry | None] = None
-    # broker -> (its topics, the same topics sorted), in address order
-    _index: dict[BrokerRef, tuple[frozenset[str], list[str]]] = field(
-        init=False, repr=False, compare=False)
+    topics_by_broker: dict[BrokerRef, Topics] = field(default_factory=dict)
 
-    def __post_init__(self, previous: Registry | None):
-        old = previous.topics_by_broker if previous is not None else {}
-        index = {}
-        for ref in sorted(self.topics_by_broker, key=str):
-            topics = self.topics_by_broker[ref]
-            kept = old.get(ref)
-            if kept is topics or kept == topics:  # 'is' spares a full compare
-                index[ref] = previous._index[ref]
-            else:
-                index[ref] = (topics, sorted(topics))
-        object.__setattr__(self, "_index", index)
+    def __post_init__(self):
+        object.__setattr__(self, "topics_by_broker", {
+            ref: topics if isinstance(topics, Topics) else Topics(topics)
+            for ref, topics in sorted(self.topics_by_broker.items(),
+                                      key=lambda entry: str(entry[0]))})
 
     def brokers(self) -> list[BrokerRef]:
-        return list(self._index)
+        return list(self.topics_by_broker)
 
     def topics_of(self, ref: BrokerRef) -> frozenset[str]:
         return self.topics_by_broker.get(ref, frozenset())
@@ -118,13 +123,14 @@ class Registry:
     def find(self, topic_filter: str) -> BrokerRef | None:
         """First broker (by address order) hosting a matching topic."""
         if topic_filter != "#" and not topic_filter.endswith("/#"):
-            for ref, (topics, _) in self._index.items():
+            for ref, topics in self.topics_by_broker.items():
                 if topic_filter in topics:
                     return ref
             return None
         # '#' is the prefix '', and 'stem/#' the stem or the prefix 'stem/'
         stem, prefix = topic_filter[:-2], topic_filter[:-1]
-        for ref, (topics, ordered) in self._index.items():
+        for ref, topics in self.topics_by_broker.items():
+            ordered = topics.ordered
             at = bisect_left(ordered, prefix)
             if stem in topics \
                     or at < len(ordered) and ordered[at].startswith(prefix):
@@ -136,33 +142,8 @@ class Registry:
 
 
 def broker_discovery(config: DiscoveryConfig) -> list[BrokerRef]:
-    """Probe every configured address; keep those that accept TCP."""
-    refs = [BrokerRef(host, config.broker_port) for host in config.addresses]
-
-    def accepts_tcp(ref: BrokerRef) -> bool:
-        try:
-            with socket.create_connection((ref.host, ref.port),
-                                          timeout=config.timeout):
-                return True
-        except OSError:
-            return False
-
-    up = list(_CENSUS_THREADS.map(accepts_tcp, refs))
-    return sorted((ref for ref, ok in zip(refs, up) if ok), key=str)
-
-
-class Topics(frozenset):
-    """One broker's topics as a census listed them, with the topic-table
-    version its CONNACK carried before the census began.  The version is
-    None when the broker sent none or the census ended before its
-    PINGRESP: such a set is never trusted to be complete."""
-
-    __slots__ = ("version",)
-
-    def __new__(cls, topics, version: str | None = None):
-        self = super().__new__(cls, topics)
-        self.version = version
-        return self
+    """The configured brokers that answer a census, in address order."""
+    return list(census_sweep(config))
 
 
 def topic_discovery(ref: BrokerRef, timeout: float, listen_window: float,
@@ -206,24 +187,19 @@ def topic_discovery(ref: BrokerRef, timeout: float, listen_window: float,
         if version is not None \
                 and version == getattr(installed, "version", None):
             return installed
+        listed, complete = _replay(conn, ref, timeout, listen_window,
+                                   topic_filter)
         if topic_filter == "#":
-            return _replay(conn, ref, timeout, listen_window, "#", version)
-        listed = _replay(conn, ref, timeout, listen_window, topic_filter)
-        return Topics(listed | _unmatched(installed or frozenset(),
-                                          topic_filter))
-
-
-def _unmatched(topics: frozenset[str], topic_filter: str) -> frozenset[str]:
-    """The topics that topic_filter does not match."""
-    return topics - matched_topics(topic_filter, topics)
+            return Topics(listed, version if complete else None)
+        kept = installed or frozenset()
+        return Topics(listed | (kept - matched_topics(topic_filter, kept)))
 
 
 def _replay(conn: PacketConnection, ref: BrokerRef, timeout: float,
-            listen_window: float, topic_filter: str,
-            version: str | None = None) -> Topics:
+            listen_window: float, topic_filter: str) -> tuple[set[str], bool]:
     """The census of topic_discovery, on a connection past CONNACK: the
-    topics the broker replays for one subscription to topic_filter,
-    tagged with `version` only if its PINGRESP came."""
+    topics the broker replays for one subscription to topic_filter, and
+    whether its PINGRESP came."""
     conn.send(Subscribe(1, (topic_filter,)), PingReq())
     suback = conn.recv(timeout=timeout)
     if not isinstance(suback, SubAck) or suback.reasons[0] != Reason.SUCCESS:
@@ -236,7 +212,7 @@ def _replay(conn: PacketConnection, ref: BrokerRef, timeout: float,
             logger.warning("census of %s: no PINGRESP within %gs, "
                            "keeping %d topic(s)", ref, listen_window,
                            len(topics))
-            return Topics(topics)
+            return topics, False
         if packet is None:
             raise BrokerUnreachable(f"{ref}: hung up during census")
         if isinstance(packet, Publish):
@@ -244,9 +220,9 @@ def _replay(conn: PacketConnection, ref: BrokerRef, timeout: float,
             if packet.qos == 1:
                 conn.send(PubAck(packet.packet_id))
         elif isinstance(packet, PingResp):
-            return Topics(topics, version)
+            return topics, True
         elif isinstance(packet, Disconnect):
-            return Topics(topics)
+            return topics, False
 
 
 def census_sweep(config: DiscoveryConfig, installed: Registry | None = None
@@ -256,33 +232,34 @@ def census_sweep(config: DiscoveryConfig, installed: Registry | None = None
 
     Returns each answering broker's topics in 'host:port' string order.
     No address is probed first: one with no broker fails the census
-    dial within config.timeout and drops out, and a refused dial is
-    logged at debug level only, since a configured range may have gaps.
-    A broker whose topic-table version matches its topics in `installed`
-    keeps that set for the cost of one handshake (see topic_discovery).
-    One broker's failure never aborts the rest of the sweep.
+    dial within config.timeout and drops out (see _census for how that
+    is logged).  A broker whose topic-table version matches its topics
+    in `installed` keeps that Topics object for the cost of one
+    handshake (see topic_discovery).  One broker's failure never aborts
+    the rest of the sweep.
     """
     refs = sorted({BrokerRef(host, config.broker_port)
                    for host in config.addresses}, key=str)
-    installed = installed or Registry()
+    held = installed.topics_by_broker if installed is not None else {}
     results = _CENSUS_THREADS.map(
-        lambda ref: _census(ref, config, installed.topics_of(ref), sweep=True),
-        refs)
+        lambda ref: _census(ref, config, held.get(ref)), refs)
     return {ref: topics for ref, topics in zip(refs, results)
             if topics is not None}
 
 
 def _census(ref: BrokerRef, config: DiscoveryConfig,
-            installed: frozenset[str] | None, topic_filter: str = "#",
-            sweep: bool = False) -> frozenset[str] | None:
+            installed: frozenset[str] | None, topic_filter: str = "#"
+            ) -> frozenset[str] | None:
     """One broker's topics, or None (logged) if it cannot be censused.
-    A failure is a warning, except a refused dial in a fleet `sweep`."""
+    A failure is a warning, except a refused dial at an address the
+    registry did not hold (`installed` None): a gap in the range."""
     try:
         return topic_discovery(ref, config.timeout, config.listen_window,
                                installed, topic_filter)
     except BrokerUnreachable as exc:
-        refused = sweep and isinstance(exc.__cause__, ConnectionRefusedError)
-        logger.log(logging.DEBUG if refused else logging.WARNING,
+        gap = installed is None \
+            and isinstance(exc.__cause__, ConnectionRefusedError)
+        logger.log(logging.DEBUG if gap else logging.WARNING,
                    "census failed: %s", exc)
         return None
 
@@ -347,8 +324,8 @@ class MasterBroker:
     def _recensus(self, scope: tuple[BrokerRef, str] | None) -> Registry:
         """Census `scope`, one broker for one filter or (None) the whole
         fleet for '#', and swap in the result.  A broker's census replaces
-        its topics, or drops it if it does not answer; the new snapshot
-        indexes only the brokers whose topics changed.
+        its topics, or drops it if it does not answer; an unchanged
+        broker keeps its Topics, and so its sorted order, by identity.
 
         Single-flight: every caller gets the result of a census of its
         scope, or of the fleet, that started after it called, so N
@@ -388,7 +365,7 @@ class MasterBroker:
                                 else len(topics),
                                 " (unchanged)" if topics is not None
                                 and topics is kept.get(ref) else "")
-                registry = Registry(entries, installed)
+                registry = Registry(entries)
                 with self._lock:
                     self._registry = registry
                 if scope is None:  # newer than every broker's census

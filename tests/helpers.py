@@ -1,5 +1,6 @@
 """Raw-protocol helpers for exercising brokers from tests."""
 
+import contextlib
 import socket
 import threading
 import time
@@ -171,6 +172,17 @@ class SilentBroker(ScriptedBroker):
                 conn.send(Publish(topic, b"", retain=True))
         while conn.recv() is not None:
             pass
+
+
+@contextlib.contextmanager
+def hung_listener(ref: BrokerRef):
+    """A listener at ref whose connections the kernel accepts and nobody
+    ever answers."""
+    with socket.socket() as hung:
+        hung.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        hung.bind((ref.host, ref.port))
+        hung.listen(8)
+        yield
 
 
 def admin_command(address: tuple[str, int], line: str) -> str:

@@ -12,6 +12,7 @@ from helpers import (
     SilentBroker,
     connect,
     drain,
+    hung_listener,
     subscribe,
     wait_until,
 )
@@ -243,10 +244,7 @@ def test_open_passes_over_a_censused_broker_that_hung(make_fleet, make_master,
         publish(broker.address, "hung/t", b"v")
     master = make_master(addresses(3), port)
     brokers[0].stop()
-    with socket.socket() as hung:  # the kernel accepts; nobody ever answers
-        hung.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        hung.bind((brokers[0].address.host, port))
-        hung.listen(8)
+    with hung_listener(brokers[0].address):
         session = SubscriberSession(master.address, "hung/t", sink,
                                     timeout=0.5)
         sessions.append(session)
@@ -264,6 +262,34 @@ def test_relocation_chain_is_followed(make_fleet, make_master, sink, sessions):
     brokers[1].relocate_topic("hop", brokers[2].address)
     wait_until(lambda: session.broker == brokers[2].address, timeout=5)
     assert session.state is SessionState.SUBSCRIBED
+
+
+def test_a_topic_moved_back_does_not_loop_its_subscriber(
+        make_fleet, make_master, sink, sessions):
+    brokers, port = make_fleet(2)
+    a, b = brokers
+    publish(a.address, "back", b"v1")
+    master = make_master(addresses(3), port)
+    session = open_session(sessions, master, "back", sink)
+    sink.wait(1)
+    publish(b.address, "back", b"v2")
+    before = [broker._server.connection_count for broker in brokers]
+    a.relocate_topic("back", b.address)
+    wait_until(lambda: b"v2" in sink.payloads())  # B's replay
+    b.relocate_topic("back", a.address)  # A still sends "back" to B
+
+    def settled():
+        if session.wait(0):
+            return True
+        home = next((x.address for x in brokers if "back" in x.topics()), None)
+        return home is not None and session.broker == home \
+            and session.state is SessionState.SUBSCRIBED
+
+    wait_until(settled, timeout=15)
+    assert session.wait(0) is False or isinstance(session.error, NoSuchTopic)
+    opened = [broker._server.connection_count - n
+              for broker, n in zip(brokers, before)]
+    assert max(opened) <= 6, opened
 
 
 def test_unresponsive_broker_detected_by_ping_probe(make_fleet, make_master,

@@ -15,6 +15,7 @@ from helpers import (
     SilentBroker,
     connect,
     count_calls,
+    hung_listener,
     subscribe,
     wait_until,
 )
@@ -67,6 +68,15 @@ def test_probe_with_no_brokers(make_fleet):
     config = DiscoveryConfig(addresses=addresses(4), broker_port=port,
                              timeout=0.25)
     assert broker_discovery(config) == []
+
+
+def test_discovery_leaves_out_an_address_that_never_answers_mqtt(make_fleet):
+    brokers, port = make_fleet(2)
+    brokers[0].stop()
+    config = DiscoveryConfig(addresses=addresses(3), broker_port=port,
+                             timeout=0.25)
+    with hung_listener(brokers[0].address):
+        assert broker_discovery(config) == [brokers[1].address]
 
 
 def test_probe_with_empty_address_list():
@@ -376,11 +386,16 @@ def test_registry_find_agrees_with_a_linear_scan(reg, filt):
 @given(entries_st, st.sampled_from(REFS), st.none() | topics_st, filter_st)
 def test_a_registry_built_on_another_finds_what_a_fresh_one_does(
         entries, ref, topics, filt):
-    """One edit: replace a broker's topics, add a broker, or (None) drop one."""
-    edited = {r: t for r, t in entries.items() if r != ref}
+    """One edit: replace a broker's topics, add a broker, or (None) drop
+    one; every other broker keeps the Topics of the registry before."""
+    before = Registry(entries).topics_by_broker
+    edited = {r: t for r, t in before.items() if r != ref}
     if topics is not None:
         edited[ref] = topics
-    reused, fresh = Registry(edited, Registry(entries)), Registry(edited)
+    reused = Registry(edited)
+    fresh = Registry({r: frozenset(t) for r, t in edited.items()})
+    for r in edited.keys() - {ref}:
+        assert reused.topics_by_broker[r] is before[r]
     hosted = set().union(*edited.values(), *entries.values())
     for f in {filt, *(f for t in hosted for f in matching_filters(t))}:
         assert reused.find(f) == fresh.find(f) == linear_find(fresh, f), f
@@ -389,10 +404,11 @@ def test_a_registry_built_on_another_finds_what_a_fresh_one_does(
 def test_a_rebuilt_registry_reuses_an_unchanged_brokers_filter_set():
     r1, r2, r3 = REFS[0], REFS[2], REFS[4]
     old = Registry({r1: frozenset({"a/b"}), r2: frozenset({"c"})})
-    new = Registry({r1: frozenset({"a/b"}), r2: frozenset({"d"}),
-                    r3: frozenset({"c"})}, old)
-    assert new._index[r1] is old._index[r1]  # an equal, new frozenset
-    assert new._index[r2] is not old._index[r2]
+    kept = old.topics_by_broker
+    new = Registry({r1: kept[r1], r2: frozenset({"d"}), r3: frozenset({"c"})})
+    assert new.topics_by_broker[r1] is kept[r1]
+    assert new.topics_by_broker[r1].ordered is kept[r1].ordered
+    assert new.topics_by_broker[r2] is not kept[r2]
     assert (new.find("a/#"), new.find("c"), new.find("d")) == (r1, r3, r2)
 
 
@@ -429,16 +445,19 @@ def test_a_sweep_indexes_only_the_brokers_whose_topics_changed(
     brokers, port = make_fleet(2)
     seed(brokers[0], "a/b")
     master = make_master(addresses(3), port)
-    first = master.registry._index
-    unchanged = master.refresh_registry()._index
+    first = master.registry.topics_by_broker
+    unchanged = master.refresh_registry().topics_by_broker
     assert unchanged.keys() == first.keys()
-    assert all(unchanged[ref] is first[ref] for ref in first)
+    assert all(unchanged[ref] is first[ref]
+               and unchanged[ref].ordered is first[ref].ordered
+               for ref in first)
     seed(brokers[1], "c")
     registry = master.refresh_registry()
     assert registry.find("c") == brokers[1].address
-    assert registry._index[brokers[0].address] is first[brokers[0].address]
-    assert registry._index[brokers[1].address] \
-        is not first[brokers[1].address]
+    a, b = (broker.address for broker in brokers)
+    assert registry.topics_by_broker[a] is first[a]
+    assert registry.topics_by_broker[a].ordered is first[a].ordered
+    assert registry.topics_by_broker[b] is not first[b]
 
 
 def test_a_fleet_census_opens_one_connection_per_live_broker(make_fleet,
@@ -477,6 +496,27 @@ def test_a_sweep_logs_no_warning_for_a_dead_address(make_fleet, make_master,
     assert master.refresh_registry().brokers() == [brokers[0].address]
     assert [r.getMessage() for r in caplog.records
             if r.levelno >= logging.WARNING] == []
+
+
+def test_a_sweep_warns_once_of_a_registered_broker_that_now_refuses(
+        make_fleet, make_master, caplog):
+    brokers, port = make_fleet(2)
+    master = make_master(addresses(3), port)
+    gone = brokers[1].address
+    brokers[1].stop()
+
+    def warnings():
+        found = [r.getMessage() for r in caplog.records
+                 if r.levelno >= logging.WARNING]
+        caplog.clear()
+        return found
+
+    warnings()
+    assert master.refresh_registry().brokers() == [brokers[0].address]
+    logged = warnings()
+    assert len(logged) == 1 and str(gone) in logged[0], logged
+    master.refresh_registry()
+    assert warnings() == []
 
 
 def test_a_failed_sweep_lets_the_next_waiter_run_its_own(make_fleet,
