@@ -46,6 +46,7 @@ from .packets import (
     matching_filters,
     redirect,
     validate_filters,
+    validate_topic,
 )
 from .errors import ConnectionClosed
 from .stream import PacketConnection, Server, serve_mqtt
@@ -272,12 +273,10 @@ class EdgeBroker:
             return "ERR empty command"
         if parts[0].upper() != "RELOCATE" or len(parts) not in (2, 3):
             return f"ERR unknown command {parts[0]!r}"
-        topic = parts[1]
-        target = None
-        if len(parts) == 3:
-            try:
-                target = BrokerRef.parse(parts[2])
-            except ValueError as exc:
-                return f"ERR {exc}"
+        try:  # MalformedFilter is a ValueError too
+            topic = validate_topic(parts[1])
+            target = BrokerRef.parse(parts[2]) if len(parts) == 3 else None
+        except ValueError as exc:
+            return f"ERR {exc}"
         self.relocate_topic(topic, target)
         return "OK"

@@ -12,14 +12,13 @@ just receives messages on a callback.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import logging
 import os
 import queue
 import threading
 import time
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .errors import (
     BrokerUnreachable,
@@ -31,7 +30,6 @@ from .errors import (
 from .packets import (
     BrokerRef,
     Disconnect,
-    Packet,
     PingReq,
     PingResp,
     PubAck,
@@ -46,6 +44,7 @@ from .stream import PEER_FAILURES, PacketConnection, dial, exchange
 
 logger = logging.getLogger(__name__)
 
+_T = TypeVar("_T")
 _session_ids = itertools.count(1)
 # the one idle pump thread of this process, with its job queue
 _idle_pump: tuple[threading.Thread, queue.SimpleQueue] | None = None
@@ -123,7 +122,7 @@ class SubscriberSession:
         background.
         """
         validate_filter(self.topic_filter)
-        _, conn = _until_reachable(self._resolve, self._attach)
+        conn = _until_reachable(self._resolve, self._attach)
         self._start_thread(conn)
         return self
 
@@ -157,7 +156,6 @@ class SubscriberSession:
         """Ask the master which broker hosts the filter."""
         self._note("resolve", str(self.master))
         ref = _ask_master(self.master, f"{self.client_id}-resolve",
-                          Subscribe(1, (self.topic_filter,)),
                           self.topic_filter, self.timeout)
         self._note("redirect", str(ref))
         return ref
@@ -273,7 +271,7 @@ class SubscriberSession:
             if pause:
                 self._backoff = min(self._backoff * 2, BACKOFF_CAP)
             try:
-                return _until_reachable(self._resolve, self._attach)[1]
+                return _until_reachable(self._resolve, self._attach)
             except (MasterUnreachable, BrokerUnreachable) as exc:
                 logger.info("recovery attempt failed (%s); retrying in %.1fs",
                             exc, self._backoff)
@@ -358,14 +356,15 @@ def transparent_publish(master: BrokerRef, topic: str, payload: bytes, *,
                         qos: int = 0, timeout: float = 2.0) -> BrokerRef:
     """Publish knowing only the master: ask it, then publish where it says.
 
-    A broker that sends the topic away to a named broker is followed
-    there once before the master is asked again, as a subscriber
-    follows a move.  Returns the broker that accepted the message.
-    NoSuchTopic when the master knows no home for the topic.
+    The master is asked for the topic alone, with the SUBSCRIBE a
+    subscriber sends; the payload goes only to the broker.  A broker
+    that sends the topic away to a named broker is followed there once
+    before the master is asked again, as a subscriber follows a move.
+    Returns the broker that accepted the message.  NoSuchTopic when the
+    master knows no home for the topic.
     """
     validate_topic(topic)
-    ask = functools.partial(_ask_master, master, _fresh_id("pub"),
-                            Publish(topic, payload, qos=0), topic, timeout)
+    client_id = _fresh_id("pub")
 
     def publish_at(target: BrokerRef) -> BrokerRef:
         try:
@@ -377,11 +376,12 @@ def transparent_publish(master: BrokerRef, topic: str, payload: bytes, *,
             publish(target, topic, payload, qos=qos, timeout=timeout)
         return target
 
-    return _until_reachable(ask, publish_at)[1]
+    return _until_reachable(
+        lambda: _ask_master(master, client_id, topic, timeout), publish_at)
 
 
 def _until_reachable(ask: Callable[[], BrokerRef],
-                     use: Callable[[BrokerRef], object]) -> tuple:
+                     use: Callable[[BrokerRef], _T]) -> _T:
     """use(ask()), asking again while the named broker is unreachable or
     redirects the topic, up to RESOLVE_ROUNDS answers.  Each ask repeats
     one question under one client id: that is how the master learns an
@@ -389,31 +389,31 @@ def _until_reachable(ask: Callable[[], BrokerRef],
     for round_ in range(1, RESOLVE_ROUNDS + 1):
         ref = ask()
         try:
-            return ref, use(ref)
+            return use(ref)
         except (BrokerUnreachable, Redirected) as exc:
             if round_ == RESOLVE_ROUNDS:
                 raise
             logger.debug("redirect target %s stale: %s", ref, exc)
 
 
-def _ask_master(master: BrokerRef, client_id: str, request: Packet,
-                topic: str, timeout: float) -> BrokerRef:
-    """Send the master one SUBSCRIBE or PUBLISH; return the broker its
-    closing DISCONNECT names.
+def _ask_master(master: BrokerRef, client_id: str, topic_filter: str,
+                timeout: float) -> BrokerRef:
+    """Send the master one SUBSCRIBE for the filter; return the broker
+    its closing DISCONNECT names.
 
     Raises NoSuchTopic when that DISCONNECT names no broker, and
     MasterUnreachable when the master cannot be asked or answers with
     anything but at most one SUBACK and then the DISCONNECT.  The ask is
-    one stream.exchange, with the request sent alongside the CONNECT:
+    one stream.exchange, with the SUBSCRIBE sent alongside the CONNECT:
     our DISCONNECT follows the verdict.
     """
     with exchange(master, client_id, timeout, MasterUnreachable,
-                  requests=(request,)) as conn:
+                  requests=(Subscribe(1, (topic_filter,)),)) as conn:
         reply = conn.recv(timeout=timeout)
         if isinstance(reply, SubAck):
             reply = conn.recv(timeout=timeout)  # the verdict comes next
         if not isinstance(reply, Disconnect):
             raise MasterUnreachable(f"{master}: expected a redirect, got {reply!r}")
     if reply.server_reference is None:
-        raise NoSuchTopic(topic)
+        raise NoSuchTopic(topic_filter)
     return reply.server_reference

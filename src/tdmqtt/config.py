@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -30,8 +31,9 @@ def expand_address_range(value) -> tuple[str, ...]:
     """Turn a host, CIDR block, or list of either into census addresses.
 
     "10.0.0.5" stays itself, "10.0.0.0/30" becomes its usable hosts,
-    and anything that does not parse as an IP network (a hostname, say)
-    passes through verbatim.  Order is preserved, duplicates dropped.
+    and anything else without a '/' (a hostname, say) passes through
+    verbatim; an item with a '/' that is no IP network is a ConfigError.
+    Order is preserved, duplicates dropped.
     """
     if isinstance(value, str):
         value = [value]
@@ -42,7 +44,9 @@ def expand_address_range(value) -> tuple[str, ...]:
     for item in value:
         try:
             net = ipaddress.ip_network(item)
-        except ValueError:
+        except ValueError as exc:
+            if "/" in item:
+                raise ConfigError(f"address range {item!r}: {exc}") from exc
             hosts = [item]  # hostname or bare label: leave resolution to connect()
         else:
             if net.num_addresses > MAX_RANGE:
@@ -66,12 +70,21 @@ def _parse_ref(value, key: str) -> BrokerRef:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number a float holds finitely: json also reads
+    NaN, Infinity and integers too large for any float."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number; an int beyond floats
+        return False
+
+
 def _duration(raw: dict, key: str, default: float) -> float:
     """raw[key], or default, in seconds: a key ending in '_ms' holds
     milliseconds, any other key seconds."""
     value = raw.get(key, default)
     in_ms = key.endswith("_ms")
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
+    if not _is_number(value) or value <= 0:
         raise ConfigError(f"{key} must be a positive number of "
                           + ("milliseconds" if in_ms else "seconds"))
     return value / 1000.0 if in_ms else float(value)
@@ -182,14 +195,14 @@ def _eval_section(raw: dict) -> EvalConfig:
     for kind, bits in user_sizes.items():
         if kind not in ALL_KINDS:
             raise ConfigError(f"eval.sizes: unknown message kind {kind!r}")
-        if not isinstance(bits, (int, float)) or isinstance(bits, bool) or bits <= 0:
+        if not _is_number(bits) or bits <= 0:
             raise ConfigError(f"eval.sizes.{kind} must be a positive number")
         sizes[kind] = float(bits)
 
     def num(key, default, *, minimum=None):
         value = raw.get(key, default)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"eval.{key} must be a number")
+        if not _is_number(value):
+            raise ConfigError(f"eval.{key} must be a finite number")
         if minimum is not None and value < minimum:
             raise ConfigError(f"eval.{key} must be >= {minimum}")
         return value

@@ -3,9 +3,11 @@
 Covers CONNECT, CONNACK, SUBSCRIBE, SUBACK, PUBLISH (QoS 0/1), PUBACK,
 PINGREQ, PINGRESP and DISCONNECT, plus the DISCONNECT Server Reference
 property that carries "host:port" broker redirects and the CONNACK User
-Property that carries an edge broker's topic-table version.  Byte layout
-follows the OASIS MQTT 5 wire format.  Everything here is pure and
-reentrant; packet values are immutable.
+Property that carries an edge broker's topic-table version.  Every
+property block is read by one rule: each id's value by the reader its
+table entry names, and a repeated id is malformed unless MQTT 5 allows
+repeats of it.  Byte layout follows the OASIS MQTT 5 wire format.
+Everything here is pure and reentrant; packet values are immutable.
 """
 
 from __future__ import annotations
@@ -28,20 +30,20 @@ TYPE_PINGRESP = 13
 TYPE_DISCONNECT = 14
 
 # Property identifiers we emit or inspect.
+PROP_SUBSCRIPTION_IDENTIFIER = 0x0B
 PROP_SERVER_REFERENCE = 0x1C
-PROP_REASON_STRING = 0x1F
 PROP_USER_PROPERTY = 0x26
 
 # User Property name under which a CONNACK carries the topic-table version.
 TOPIC_TABLE_VERSION = "topic-table-version"
 
-# Property id -> value kind, for skipping properties we do not use.
-# Any id outside this table is not a legal MQTT 5 property.
+# Property id -> the _Reader method that reads its value.  Any id outside
+# this table is not a legal MQTT 5 property.
 _PROPERTY_KINDS = {
-    0x01: "u8", 0x02: "u32", 0x03: "str", 0x08: "str", 0x09: "bin",
-    0x0B: "varint", 0x11: "u32", 0x12: "str", 0x13: "u16", 0x15: "str",
-    0x16: "bin", 0x17: "u8", 0x18: "u32", 0x19: "u8", 0x1A: "str",
-    0x1C: "str", 0x1F: "str", 0x21: "u16", 0x22: "u16", 0x23: "u16",
+    0x01: "u8", 0x02: "u32", 0x03: "string", 0x08: "string", 0x09: "binary",
+    0x0B: "varint", 0x11: "u32", 0x12: "string", 0x13: "u16", 0x15: "string",
+    0x16: "binary", 0x17: "u8", 0x18: "u32", 0x19: "u8", 0x1A: "string",
+    0x1C: "string", 0x1F: "string", 0x21: "u16", 0x22: "u16", 0x23: "u16",
     0x24: "u8", 0x25: "u8", 0x26: "pair", 0x27: "u32", 0x28: "u8",
     0x29: "u8", 0x2A: "u8",
 }
@@ -366,6 +368,9 @@ class _Reader:
     def binary(self) -> bytes:
         return self.take(self.u16())
 
+    def pair(self) -> tuple[str, str]:
+        return self.string(), self.string()
+
     def rest(self) -> bytes:
         chunk = self._data[self._pos:]
         self._pos = len(self._data)
@@ -380,49 +385,31 @@ class _Reader:
             raise MalformedPacket(f"trailing bytes after {what}")
 
 
-def _read_properties(r: _Reader) -> dict[str, str | None]:
-    """Parse a property block, keeping server reference, reason string and
-    the topic-table version User Property.
+def _read_properties(r: _Reader) -> dict:
+    """Parse a property block into its values keyed by property id, and
+    each User Property's value keyed by its name.
 
-    Unknown-to-us but legal property ids are skipped, and so is every
-    other User Property; ids outside the MQTT 5 table are malformed.
-    Version pairs that disagree leave the version None.
+    Every id is read by the _Reader method _PROPERTY_KINDS names for it;
+    ids outside the MQTT 5 table, and a repeat of any id but User
+    Property and Subscription Identifier, are malformed.  A User
+    Property name given twice with different values reads as None.
     """
-    length = r.varint()
-    body = _Reader(r.take(length))
-    found: dict[str, str | None] = {}
+    body = _Reader(r.take(r.varint()))
+    found: dict = {}
     while not body.exhausted:
         pid = body.u8()
         kind = _PROPERTY_KINDS.get(pid)
         if kind is None:
             raise MalformedPacket(f"unknown property id 0x{pid:02X}")
-        if kind == "u8":
-            value: object = body.u8()
-        elif kind == "u16":
-            value = body.u16()
-        elif kind == "u32":
-            value = body.u32()
-        elif kind == "varint":
-            value = body.varint()
-        elif kind == "str":
-            value = body.string()
-        elif kind == "bin":
-            value = body.binary()
-        else:  # pair
-            value = (body.string(), body.string())
-        if pid == PROP_SERVER_REFERENCE:
-            if "server_reference" in found:
-                raise MalformedPacket("duplicate server reference property")
-            found["server_reference"] = value  # type: ignore[assignment]
-        elif pid == PROP_REASON_STRING:
-            if "reason_string" in found:
-                raise MalformedPacket("duplicate reason string property")
-            found["reason_string"] = value  # type: ignore[assignment]
-        elif pid == PROP_USER_PROPERTY \
-                and value[0] == TOPIC_TABLE_VERSION:  # type: ignore[index]
-            if found.setdefault("topic_table_version",
-                                value[1]) != value[1]:  # type: ignore[index]
-                found["topic_table_version"] = None
+        value = getattr(body, kind)()
+        if pid == PROP_USER_PROPERTY:
+            name, value = value
+            if found.setdefault(name, value) != value:
+                found[name] = None
+        elif pid in found and pid != PROP_SUBSCRIPTION_IDENTIFIER:
+            raise MalformedPacket(f"duplicate property 0x{pid:02X}")
+        else:
+            found[pid] = value
     return found
 
 
@@ -641,10 +628,9 @@ def _decode_connack(r: _Reader) -> ConnAck:
     if ack_flags & ~0x01:
         raise MalformedPacket("reserved CONNACK flags set")
     reason = r.u8()
-    props = _read_properties(r)
+    version = _read_properties(r).get(TOPIC_TABLE_VERSION)
     r.expect_end("CONNACK")
-    return ConnAck(reason=reason,
-                   topic_table_version=props.get("topic_table_version"))
+    return ConnAck(reason=reason, topic_table_version=version)
 
 
 def _decode_publish(r: _Reader, flags: int) -> Publish:
@@ -713,8 +699,7 @@ def _decode_disconnect(r: _Reader, remaining: int) -> Disconnect:
     reason = r.u8()
     reference = None
     if remaining >= 2:
-        props = _read_properties(r)
-        ref_text = props.get("server_reference")
+        ref_text = _read_properties(r).get(PROP_SERVER_REFERENCE)
         if ref_text is not None:
             if not _is_redirect(reason):
                 raise MalformedPacket(

@@ -440,11 +440,13 @@ def test_admin_relocate_to_its_own_address_hosts_the_topic_again(make_broker):
     ("RELOCATE", "unknown command"),
     ("RELOCATE t a b c", "unknown command"),
     ("RELOCATE t badref", "broker reference"),
+    ("RELOCATE a/# b7:1883", "wildcards"),
 ])
 def test_admin_rejects_malformed_commands(make_broker, line, fragment):
     broker = make_broker(admin=True)
     reply = admin_command(broker.admin_address, line)
     assert reply.startswith("ERR") and fragment in reply
+    assert not broker._relocations
 
 
 def test_stop_ends_every_connection():

@@ -684,6 +684,21 @@ def test_a_master_ask_ends_with_a_disconnect_after_the_verdict(ask):
         broker.stop()
 
 
+def test_transparent_publish_asks_the_master_for_the_topic_alone():
+    at_broker, at_master = [], []
+    broker = ScriptedBroker(answering(at_broker))
+    master = ScriptedBroker(answering(at_master, broker.address))
+    try:
+        transparent_publish(master.address, "t", b"payload", timeout=0.5)
+        wait_until(lambda: at_master[-1:] == [None])
+        assert Subscribe(1, ("t",)) in at_master, at_master
+        assert not any(isinstance(p, Publish) for p in at_master), at_master
+        assert Publish("t", b"payload") in at_broker, at_broker
+    finally:
+        master.stop()
+        broker.stop()
+
+
 @pytest.mark.parametrize("late", ["master", "broker"])
 @pytest.mark.parametrize("call", [
     lambda master: transparent_publish(master, "t", b"v", timeout=0.5),

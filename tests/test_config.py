@@ -47,6 +47,12 @@ def test_expand_hostname_passthrough():
     assert expand_address_range("localhost") == ("localhost",)
 
 
+@pytest.mark.parametrize("item", ["10.0.0.1/30", "10.0.0.0/33", "edge/host"])
+def test_expand_rejects_a_malformed_block(item):
+    with pytest.raises(ConfigError, match=item):
+        expand_address_range(["10.0.0.5", item])
+
+
 def test_expand_rejects_oversized_block():
     with pytest.raises(ConfigError, match="limit"):
         expand_address_range("10.0.0.0/8")
@@ -146,6 +152,9 @@ def test_master_section_full(write_config):
     {"refresh_period_ms": False},
     {"listen": "noport"},
     {"listen": 1884},
+    {"timeout_ms": float("nan")},
+    {"refresh_period_ms": float("inf")},
+    {"timeout_ms": 10 ** 400},
 ])
 def test_master_section_bad_values(write_config, section):
     with pytest.raises(ConfigError):
@@ -185,6 +194,8 @@ def test_client_section(write_config):
     {"keepalive_s": 0},
     {"timeout_s": -1},
     {"master": "missing-port"},
+    {"timeout_s": float("nan")},
+    {"keepalive_s": float("inf")},
 ])
 def test_client_section_bad_values(write_config, section):
     with pytest.raises(ConfigError):
@@ -251,6 +262,11 @@ def test_eval_saturated_queue_is_config_error(write_config):
     {"max_pub_hops": 0},
     {"emma": {"probe_time": -1}},
     {"emma": {"warmup": 1}},
+    {"throughput": float("nan")},
+    {"timeout": float("inf")},
+    {"sizes": {"connect": float("nan")}},
+    {"sizes": {"connect": float("inf")}},
+    {"emma": {"probe_time": float("inf")}},
 ])
 def test_eval_section_bad_values(write_config, section):
     with pytest.raises(ConfigError):

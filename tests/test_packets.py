@@ -236,6 +236,21 @@ def test_duplicate_server_reference_rejected():
         decode(bytes([0xE0, len(body)]) + body)
 
 
+@pytest.mark.parametrize("wire", [
+    connack_with(hx("11 00000E10 11 00000E10")),
+    hx("E0 0E 8F 0C") + (hx("1F 0003") + b"bye") * 2,
+], ids=["connack-session-expiry", "disconnect-reason-string"])
+def test_a_repeated_property_is_rejected(wire):
+    with pytest.raises(MalformedPacket, match="duplicate"):
+        decode(wire)
+
+
+def test_a_publish_may_repeat_its_subscription_identifier():
+    body = hx("0001") + b"t" + hx("04 0B 01 0B 02") + b"hi"
+    wire = bytes([0x30, len(body)]) + body
+    assert decode(wire) == (Publish("t", b"hi"), len(wire))
+
+
 def test_server_reference_on_normal_disconnect_rejected():
     props = bytes([0x1C]) + hx("0007") + b"b2:1883"
     body = bytes([0x00, len(props)]) + props
