@@ -30,7 +30,7 @@ import functools
 import logging
 import threading
 import time
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -90,6 +90,22 @@ class Topics(frozenset):
         self.version = version
         self.ordered = sorted(self)
         return self
+
+    def replaced(self, matched: set[str], listed: set[str]) -> Topics:
+        """These topics less `matched`, plus `listed`, untagged.  The
+        order is carried over, not sorted again: the topics that left
+        are deleted from it and the new ones inserted, each found by
+        bisection."""
+        gone = (matched - listed) & self
+        ordered = list(self.ordered)
+        for topic in gone:
+            del ordered[bisect_left(ordered, topic)]
+        for topic in listed - self:
+            insort(ordered, topic)
+        merged = frozenset.__new__(Topics, (self - gone) | listed)
+        merged.version = None
+        merged.ordered = ordered
+        return merged
 
 
 @dataclass(frozen=True)
@@ -191,8 +207,9 @@ def topic_discovery(ref: BrokerRef, timeout: float, listen_window: float,
                                    topic_filter)
         if topic_filter == "#":
             return Topics(listed, version if complete else None)
-        kept = installed or frozenset()
-        return Topics(listed | (kept - matched_topics(topic_filter, kept)))
+        kept = installed if isinstance(installed, Topics) \
+            else Topics(installed or ())
+        return kept.replaced(matched_topics(topic_filter, kept), listed)
 
 
 def _replay(conn: PacketConnection, ref: BrokerRef, timeout: float,

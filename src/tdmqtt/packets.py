@@ -3,11 +3,19 @@
 Covers CONNECT, CONNACK, SUBSCRIBE, SUBACK, PUBLISH (QoS 0/1), PUBACK,
 PINGREQ, PINGRESP and DISCONNECT, plus the DISCONNECT Server Reference
 property that carries "host:port" broker redirects and the CONNACK User
-Property that carries an edge broker's topic-table version.  Every
-property block is read by one rule: each id's value by the reader its
-table entry names, and a repeated id is malformed unless MQTT 5 allows
-repeats of it.  Byte layout follows the OASIS MQTT 5 wire format.
-Everything here is pure and reentrant; packet values are immutable.
+Property that carries an edge broker's topic-table version.
+
+decode() reads a packet in one pass over the caller's buffer: each
+decoder reads its fields by index, checks that no field runs past the
+end the fixed header declares, and copies out only what the packet
+value keeps (strings such as the topic, and the payload).  An empty
+property block is one 0x00 byte and is skipped by one test; any other
+is read by one rule: each id's value by the reader its table entry
+names, an id MQTT 5 does not allow on the packet type is malformed, and
+so is a repeated id unless MQTT 5 allows repeats of it.  encode() builds
+PUBLISH and PUBACK, the data-plane packets, in one expression each.
+Byte layout follows the OASIS MQTT 5 wire format.  Everything here is
+pure and reentrant; packet values are immutable.
 """
 
 from __future__ import annotations
@@ -36,17 +44,6 @@ PROP_USER_PROPERTY = 0x26
 
 # User Property name under which a CONNACK carries the topic-table version.
 TOPIC_TABLE_VERSION = "topic-table-version"
-
-# Property id -> the _Reader method that reads its value.  Any id outside
-# this table is not a legal MQTT 5 property.
-_PROPERTY_KINDS = {
-    0x01: "u8", 0x02: "u32", 0x03: "string", 0x08: "string", 0x09: "binary",
-    0x0B: "varint", 0x11: "u32", 0x12: "string", 0x13: "u16", 0x15: "string",
-    0x16: "binary", 0x17: "u8", 0x18: "u32", 0x19: "u8", 0x1A: "string",
-    0x1C: "string", 0x1F: "string", 0x21: "u16", 0x22: "u16", 0x23: "u16",
-    0x24: "u8", 0x25: "u8", 0x26: "pair", 0x27: "u32", 0x28: "u8",
-    0x29: "u8", 0x2A: "u8",
-}
 
 MAX_REMAINING_LENGTH = 268_435_455
 
@@ -162,7 +159,8 @@ class Publish:
     retain: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "payload", bytes(self.payload))
+        if type(self.payload) is not bytes:
+            object.__setattr__(self, "payload", bytes(self.payload))
 
 
 @dataclass(frozen=True)
@@ -302,21 +300,18 @@ def matched_topics(filt: str, topics: Collection[str]) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Primitive readers/writers
+# Encoding
 # ---------------------------------------------------------------------------
 
 def encode_varint(value: int) -> bytes:
     if not 0 <= value <= MAX_REMAINING_LENGTH:
         raise InvalidPacket(f"variable-byte integer out of range: {value}")
     out = bytearray()
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    out.append(value)
+    return bytes(out)
 
 
 def _pack_str(text: str) -> bytes:
@@ -326,112 +321,21 @@ def _pack_str(text: str) -> bytes:
     return struct.pack(">H", len(data)) + data
 
 
-class _Reader:
-    """Bounded cursor over one packet body; never reads past its end."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise MalformedPacket("packet body shorter than declared")
-        chunk = self._data[self._pos:self._pos + n]
-        self._pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def varint(self) -> int:
-        value = 0
-        for shift in (0, 7, 14, 21):
-            byte = self.u8()
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-        raise MalformedPacket("variable-byte integer longer than 4 bytes")
-
-    def string(self) -> str:
-        size = self.u16()
-        try:
-            return self.take(size).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedPacket("string is not valid UTF-8") from exc
-
-    def binary(self) -> bytes:
-        return self.take(self.u16())
-
-    def pair(self) -> tuple[str, str]:
-        return self.string(), self.string()
-
-    def rest(self) -> bytes:
-        chunk = self._data[self._pos:]
-        self._pos = len(self._data)
-        return chunk
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._data)
-
-    def expect_end(self, what: str) -> None:
-        if not self.exhausted:
-            raise MalformedPacket(f"trailing bytes after {what}")
-
-
-def _read_properties(r: _Reader) -> dict:
-    """Parse a property block into its values keyed by property id, and
-    each User Property's value keyed by its name.
-
-    Every id is read by the _Reader method _PROPERTY_KINDS names for it;
-    ids outside the MQTT 5 table, and a repeat of any id but User
-    Property and Subscription Identifier, are malformed.  A User
-    Property name given twice with different values reads as None.
-    """
-    body = _Reader(r.take(r.varint()))
-    found: dict = {}
-    while not body.exhausted:
-        pid = body.u8()
-        kind = _PROPERTY_KINDS.get(pid)
-        if kind is None:
-            raise MalformedPacket(f"unknown property id 0x{pid:02X}")
-        value = getattr(body, kind)()
-        if pid == PROP_USER_PROPERTY:
-            name, value = value
-            if found.setdefault(name, value) != value:
-                found[name] = None
-        elif pid in found and pid != PROP_SUBSCRIPTION_IDENTIFIER:
-            raise MalformedPacket(f"duplicate property 0x{pid:02X}")
-        else:
-            found[pid] = value
-    return found
-
-
-def _check_packet_id(packet_id: object, exc: type[ValueError]) -> int:
+def _check_packet_id(packet_id: object) -> int:
     if not isinstance(packet_id, int) or isinstance(packet_id, bool):
-        raise exc(f"packet id must be an int, got {packet_id!r}")
+        raise InvalidPacket(f"packet id must be an int, got {packet_id!r}")
     if not 1 <= packet_id <= 0xFFFF:
-        raise exc(f"packet id out of range: {packet_id}")
+        raise InvalidPacket(f"packet id out of range: {packet_id}")
     return packet_id
 
 
-def _check_reason(reason: object, exc: type[ValueError]) -> int:
+def _check_reason(reason: object) -> int:
     if not isinstance(reason, int) or isinstance(reason, bool):
-        raise exc(f"reason code must be an int, got {reason!r}")
+        raise InvalidPacket(f"reason code must be an int, got {reason!r}")
     if not 0 <= reason <= 0xFF:
-        raise exc(f"reason code out of range: {reason}")
+        raise InvalidPacket(f"reason code out of range: {reason}")
     return reason
 
-
-# ---------------------------------------------------------------------------
-# Encoding
-# ---------------------------------------------------------------------------
 
 def _frame(packet_type: int, flags: int, body: bytes) -> bytes:
     return bytes([(packet_type << 4) | flags]) + encode_varint(len(body)) + body
@@ -443,6 +347,34 @@ def encode(packet: Packet) -> bytes:
     Raises InvalidPacket when the value violates its invariants, e.g. a
     QoS 1 publish without a packet id.
     """
+    if isinstance(packet, Publish):
+        if packet.qos not in (0, 1):
+            raise InvalidPacket(f"unsupported QoS {packet.qos}")
+        try:
+            topic = _pack_str(validate_topic(packet.topic))
+        except MalformedFilter as exc:
+            raise InvalidPacket(str(exc)) from exc
+        if packet.qos == 0:
+            if packet.packet_id is not None:
+                raise InvalidPacket("QoS 0 publish must not carry a packet id")
+            packet_id = b""
+        elif packet.packet_id is None:
+            raise InvalidPacket("QoS 1 publish needs a packet id")
+        else:
+            packet_id = struct.pack(">H", _check_packet_id(packet.packet_id))
+        payload = packet.payload
+        flags = (packet.qos << 1) | (1 if packet.retain else 0)
+        # no properties: the block is one 0x00 byte
+        return b"".join((bytes(((TYPE_PUBLISH << 4) | flags,)),
+                         encode_varint(len(topic) + len(packet_id) + 1 + len(payload)),
+                         topic, packet_id, b"\x00", payload))
+
+    if isinstance(packet, PubAck):
+        # remaining length 4: packet id, reason code, empty property block
+        return struct.pack(">BBHBB", TYPE_PUBACK << 4, 4,
+                           _check_packet_id(packet.packet_id),
+                           _check_reason(packet.reason), 0)
+
     if isinstance(packet, Connect):
         if not isinstance(packet.client_id, str):
             raise InvalidPacket("client id must be a string")
@@ -458,7 +390,7 @@ def encode(packet: Packet) -> bytes:
         return _frame(TYPE_CONNECT, 0, body)
 
     if isinstance(packet, ConnAck):
-        reason = _check_reason(packet.reason, InvalidPacket)
+        reason = _check_reason(packet.reason)
         props = b""
         if packet.topic_table_version is not None:
             props = (bytes([PROP_USER_PROPERTY]) + _pack_str(TOPIC_TABLE_VERSION)
@@ -467,7 +399,7 @@ def encode(packet: Packet) -> bytes:
                       + encode_varint(len(props)) + props)
 
     if isinstance(packet, Subscribe):
-        pid = _check_packet_id(packet.packet_id, InvalidPacket)
+        pid = _check_packet_id(packet.packet_id)
         if not packet.filters:
             raise InvalidPacket("subscribe needs at least one topic filter")
         body = bytearray(struct.pack(">H", pid))
@@ -480,35 +412,11 @@ def encode(packet: Packet) -> bytes:
         return _frame(TYPE_SUBSCRIBE, 0x2, bytes(body))
 
     if isinstance(packet, SubAck):
-        pid = _check_packet_id(packet.packet_id, InvalidPacket)
+        pid = _check_packet_id(packet.packet_id)
         if not packet.reasons:
             raise InvalidPacket("suback needs at least one reason code")
-        reasons = bytes(_check_reason(rc, InvalidPacket) for rc in packet.reasons)
+        reasons = bytes(_check_reason(rc) for rc in packet.reasons)
         return _frame(TYPE_SUBACK, 0, struct.pack(">H", pid) + encode_varint(0) + reasons)
-
-    if isinstance(packet, Publish):
-        if packet.qos not in (0, 1):
-            raise InvalidPacket(f"unsupported QoS {packet.qos}")
-        try:
-            validate_topic(packet.topic)
-        except MalformedFilter as exc:
-            raise InvalidPacket(str(exc)) from exc
-        if packet.qos == 1:
-            if packet.packet_id is None:
-                raise InvalidPacket("QoS 1 publish needs a packet id")
-            pid_bytes = struct.pack(">H", _check_packet_id(packet.packet_id, InvalidPacket))
-        else:
-            if packet.packet_id is not None:
-                raise InvalidPacket("QoS 0 publish must not carry a packet id")
-            pid_bytes = b""
-        flags = (packet.qos << 1) | (1 if packet.retain else 0)
-        body = _pack_str(packet.topic) + pid_bytes + encode_varint(0) + packet.payload
-        return _frame(TYPE_PUBLISH, flags, body)
-
-    if isinstance(packet, PubAck):
-        pid = _check_packet_id(packet.packet_id, InvalidPacket)
-        reason = _check_reason(packet.reason, InvalidPacket)
-        return _frame(TYPE_PUBACK, 0, struct.pack(">H", pid) + bytes([reason]) + encode_varint(0))
 
     if isinstance(packet, PingReq):
         return _frame(TYPE_PINGREQ, 0, b"")
@@ -517,7 +425,7 @@ def encode(packet: Packet) -> bytes:
         return _frame(TYPE_PINGRESP, 0, b"")
 
     if isinstance(packet, Disconnect):
-        reason = _check_reason(packet.reason, InvalidPacket)
+        reason = _check_reason(packet.reason)
         if packet.server_reference is not None and not _is_redirect(reason):
             raise InvalidPacket(
                 f"server reference not allowed with reason 0x{reason:02X}")
@@ -530,150 +438,263 @@ def encode(packet: Packet) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# Field readers
+# ---------------------------------------------------------------------------
+# Each reads one field at `pos` of a packet that ends at `end` (the
+# buffer may run on into the next packet) and returns the value and the
+# position after it.  None reads past `end`; a field that would raises
+# MalformedPacket.
+
+def _short() -> MalformedPacket:
+    return MalformedPacket("packet body shorter than declared")
+
+
+def _u8(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    if pos >= end:
+        raise _short()
+    return data[pos], pos + 1
+
+
+def _u16(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    if pos + 2 > end:
+        raise _short()
+    return data[pos] << 8 | data[pos + 1], pos + 2
+
+
+def _u32(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    if pos + 4 > end:
+        raise _short()
+    return int.from_bytes(data[pos:pos + 4], "big"), pos + 4
+
+
+def _varint(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    value = 0
+    for shift in (0, 7, 14, 21):
+        byte, pos = _u8(data, pos, end)
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos
+    raise MalformedPacket("variable-byte integer longer than 4 bytes")
+
+
+def _binary(data: bytes, pos: int, end: int) -> tuple[bytes, int]:
+    size, pos = _u16(data, pos, end)
+    if pos + size > end:
+        raise _short()
+    return bytes(data[pos:pos + size]), pos + size
+
+
+def _string(data: bytes, pos: int, end: int) -> tuple[str, int]:
+    size, pos = _u16(data, pos, end)
+    if pos + size > end:
+        raise _short()
+    try:
+        return str(data[pos:pos + size], "utf-8"), pos + size
+    except UnicodeDecodeError as exc:
+        raise MalformedPacket("string is not valid UTF-8") from exc
+
+
+def _pair(data: bytes, pos: int, end: int) -> tuple[tuple[str, str], int]:
+    name, pos = _string(data, pos, end)
+    value, pos = _string(data, pos, end)
+    return (name, value), pos
+
+
+def _packet_id(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    packet_id, pos = _u16(data, pos, end)
+    if not packet_id:
+        raise MalformedPacket("packet id out of range: 0")
+    return packet_id, pos
+
+
+def _expect_end(pos: int, end: int, what: str) -> None:
+    if pos != end:
+        raise MalformedPacket(f"trailing bytes after {what}")
+
+
+# Property id -> the reader of its value.  Any id outside this table is
+# not a legal MQTT 5 property.
+_PROPERTY_READERS = {
+    0x01: _u8, 0x02: _u32, 0x03: _string, 0x08: _string, 0x09: _binary,
+    0x0B: _varint, 0x11: _u32, 0x12: _string, 0x13: _u16, 0x15: _string,
+    0x16: _binary, 0x17: _u8, 0x18: _u32, 0x19: _u8, 0x1A: _string,
+    0x1C: _string, 0x1F: _string, 0x21: _u16, 0x22: _u16, 0x23: _u16,
+    0x24: _u8, 0x25: _u8, 0x26: _pair, 0x27: _u32, 0x28: _u8,
+    0x29: _u8, 0x2A: _u8,
+}
+
+# Packet type -> the property ids MQTT 5 (section 2.2.2.2) allows on it.
+# The will properties are left out with the will itself, and PINGREQ and
+# PINGRESP carry no property block.
+_ALLOWED_PROPERTIES = {
+    TYPE_CONNECT: {0x11, 0x15, 0x16, 0x17, 0x19, 0x21, 0x22, 0x26, 0x27},
+    TYPE_CONNACK: {0x11, 0x12, 0x13, 0x15, 0x16, 0x1A, 0x1C, 0x1F, 0x21,
+                   0x22, 0x24, 0x25, 0x26, 0x27, 0x28, 0x29, 0x2A},
+    TYPE_PUBLISH: {0x01, 0x02, 0x03, 0x08, 0x09, 0x0B, 0x23, 0x26},
+    TYPE_PUBACK: {0x1F, 0x26},
+    TYPE_SUBSCRIBE: {0x0B, 0x26},
+    TYPE_SUBACK: {0x1F, 0x26},
+    TYPE_DISCONNECT: {0x11, 0x1C, 0x1F, 0x26},
+}
+
+
+def _read_properties(data: bytes, pos: int, end: int,
+                     packet_type: int) -> tuple[dict, int]:
+    """Read the property block at `pos`: its values keyed by property
+    id, each User Property's value keyed by its name, and the position
+    after the block.
+
+    An empty block, one 0x00 byte, is skipped by one test.  In any
+    other, every id is read by the reader _PROPERTY_READERS names for
+    it.  An id outside the MQTT 5 table or not allowed on packet_type, a
+    Subscription Identifier of 0, and a repeat of any id but User
+    Property and Subscription Identifier are malformed.  A User Property
+    name given twice with different values reads as None.
+    """
+    if pos < end and not data[pos]:
+        return {}, pos + 1
+    size, pos = _varint(data, pos, end)
+    stop = pos + size
+    if stop > end:
+        raise _short()
+    allowed = _ALLOWED_PROPERTIES[packet_type]
+    found: dict = {}
+    while pos < stop:
+        pid = data[pos]
+        if pid not in allowed:
+            if pid in _PROPERTY_READERS:
+                raise MalformedPacket(f"property 0x{pid:02X} not allowed "
+                                      f"in {_DECODERS[packet_type][0]}")
+            raise MalformedPacket(f"unknown property id 0x{pid:02X}")
+        value, pos = _PROPERTY_READERS[pid](data, pos + 1, stop)
+        if pid == PROP_USER_PROPERTY:
+            name, value = value
+            if found.setdefault(name, value) != value:
+                found[name] = None
+        elif pid == PROP_SUBSCRIPTION_IDENTIFIER and not value:
+            raise MalformedPacket("subscription identifier 0")
+        elif pid in found and pid != PROP_SUBSCRIPTION_IDENTIFIER:
+            raise MalformedPacket(f"duplicate property 0x{pid:02X}")
+        else:
+            found[pid] = value
+    return found, pos
+
+
+# ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
 
-def decode(data: bytes) -> tuple[Packet, int]:
+def decode(data: bytes | bytearray) -> tuple[Packet, int]:
     """Decode one packet from the start of `data`.
 
-    Returns (packet, bytes consumed); trailing bytes are untouched.
-    Raises IncompletePacket when more bytes are required and
-    MalformedPacket when the stream is unrecoverable.
+    Returns (packet, bytes consumed); trailing bytes are untouched and
+    `data` is not copied: its fields are read in place.  Raises
+    IncompletePacket when more bytes are required and MalformedPacket
+    when the stream is unrecoverable.
     """
-    if len(data) < 1:
+    size = len(data)
+    if not size:
         raise IncompletePacket(needed=1)
-    first = data[0]
-    packet_type = first >> 4
-    flags = first & 0x0F
 
     # Remaining length: up to 4 varint bytes.
     remaining = 0
     pos = 1
     for shift in (0, 7, 14, 21):
-        if pos >= len(data):
+        if pos >= size:
             raise IncompletePacket()
         byte = data[pos]
         pos += 1
         remaining |= (byte & 0x7F) << shift
-        if not byte & 0x80:
+        if byte < 0x80:
             break
     else:
         raise MalformedPacket("remaining length longer than 4 bytes")
 
-    total = pos + remaining
-    if len(data) < total:
-        raise IncompletePacket(needed=total - len(data))
-    r = _Reader(bytes(memoryview(data)[pos:total]))  # one copy, even of a bytearray
-
-    if packet_type == TYPE_CONNECT:
-        _require_flags(flags, 0, "CONNECT")
-        packet = _decode_connect(r)
-    elif packet_type == TYPE_CONNACK:
-        _require_flags(flags, 0, "CONNACK")
-        packet = _decode_connack(r)
-    elif packet_type == TYPE_PUBLISH:
-        packet = _decode_publish(r, flags)
-    elif packet_type == TYPE_PUBACK:
-        _require_flags(flags, 0, "PUBACK")
-        packet = _decode_puback(r, remaining)
-    elif packet_type == TYPE_SUBSCRIBE:
-        _require_flags(flags, 0x2, "SUBSCRIBE")
-        packet = _decode_subscribe(r)
-    elif packet_type == TYPE_SUBACK:
-        _require_flags(flags, 0, "SUBACK")
-        packet = _decode_suback(r)
-    elif packet_type == TYPE_PINGREQ:
-        _require_flags(flags, 0, "PINGREQ")
-        r.expect_end("PINGREQ")
-        packet = PingReq()
-    elif packet_type == TYPE_PINGRESP:
-        _require_flags(flags, 0, "PINGRESP")
-        r.expect_end("PINGRESP")
-        packet = PingResp()
-    elif packet_type == TYPE_DISCONNECT:
-        _require_flags(flags, 0, "DISCONNECT")
-        packet = _decode_disconnect(r, remaining)
-    else:
+    end = pos + remaining
+    if size < end:
+        raise IncompletePacket(needed=end - size)
+    packet_type, flags = data[0] >> 4, data[0] & 0x0F
+    entry = _DECODERS.get(packet_type)
+    if entry is None:
         raise MalformedPacket(f"unsupported packet type {packet_type}")
-
-    return packet, total
-
-
-def _require_flags(flags: int, expected: int, name: str) -> None:
-    if flags != expected:
+    name, required_flags, decoder = entry
+    if required_flags is not None and flags != required_flags:
         raise MalformedPacket(f"bad fixed-header flags 0x{flags:X} for {name}")
+    return decoder(data, pos, end, flags), end
 
 
-def _decode_connect(r: _Reader) -> Connect:
-    if r.take(6) != b"\x00\x04MQTT":
+def _decode_connect(data: bytes, pos: int, end: int, flags: int) -> Connect:
+    protocol, pos = _string(data, pos, end)
+    if protocol != "MQTT":
         raise MalformedPacket("bad protocol name")
-    level = r.u8()
+    level, pos = _u8(data, pos, end)
     if level != PROTOCOL_LEVEL:
         raise MalformedPacket(f"unsupported protocol level {level}")
-    connect_flags = r.u8()
+    connect_flags, pos = _u8(data, pos, end)
     if connect_flags & 0x01:
         raise MalformedPacket("reserved connect flag set")
     if connect_flags & ~0x02:
         # Will, username and password are outside this protocol subset.
         raise MalformedPacket(f"unsupported connect flags 0x{connect_flags:02X}")
-    keep_alive = r.u16()
-    _read_properties(r)
-    client_id = r.string()
-    r.expect_end("CONNECT")
+    keep_alive, pos = _u16(data, pos, end)
+    _, pos = _read_properties(data, pos, end, TYPE_CONNECT)
+    client_id, pos = _string(data, pos, end)
+    _expect_end(pos, end, "CONNECT")
     return Connect(client_id=client_id, keep_alive=keep_alive)
 
 
-def _decode_connack(r: _Reader) -> ConnAck:
-    ack_flags = r.u8()
+def _decode_connack(data: bytes, pos: int, end: int, flags: int) -> ConnAck:
+    ack_flags, pos = _u8(data, pos, end)
     if ack_flags & ~0x01:
         raise MalformedPacket("reserved CONNACK flags set")
-    reason = r.u8()
-    version = _read_properties(r).get(TOPIC_TABLE_VERSION)
-    r.expect_end("CONNACK")
-    return ConnAck(reason=reason, topic_table_version=version)
+    reason, pos = _u8(data, pos, end)
+    properties, pos = _read_properties(data, pos, end, TYPE_CONNACK)
+    _expect_end(pos, end, "CONNACK")
+    return ConnAck(reason=reason,
+                   topic_table_version=properties.get(TOPIC_TABLE_VERSION))
 
 
-def _decode_publish(r: _Reader, flags: int) -> Publish:
+def _decode_publish(data: bytes, pos: int, end: int, flags: int) -> Publish:
     qos = (flags >> 1) & 0x3
     if qos == 3:
         raise MalformedPacket("QoS bits 0b11 are malformed")
     if qos == 2:
         raise MalformedPacket("QoS 2 is not supported")
-    dup = bool(flags & 0x8)
-    if dup and qos == 0:
+    if flags & 0x8 and not qos:
         raise MalformedPacket("DUP set on a QoS 0 publish")
-    retain = bool(flags & 0x1)
-    topic = r.string()
+    topic, pos = _string(data, pos, end)
     try:
         validate_topic(topic)
     except MalformedFilter as exc:
         raise MalformedPacket(str(exc)) from exc
     packet_id = None
-    if qos == 1:
-        packet_id = _check_packet_id(r.u16(), MalformedPacket)
-    _read_properties(r)
-    return Publish(topic=topic, payload=r.rest(), qos=qos,
-                   packet_id=packet_id, retain=retain)
+    if qos:
+        packet_id, pos = _packet_id(data, pos, end)
+    _, pos = _read_properties(data, pos, end, TYPE_PUBLISH)
+    # Publish makes the payload bytes: a second copy from a bytearray,
+    # cheaper than a memoryview for the small payloads that dominate
+    return Publish(topic, data[pos:end], qos, packet_id, bool(flags & 0x1))
 
 
-def _decode_puback(r: _Reader, remaining: int) -> PubAck:
-    packet_id = _check_packet_id(r.u16(), MalformedPacket)
+def _decode_puback(data: bytes, pos: int, end: int, flags: int) -> PubAck:
+    packet_id, pos = _packet_id(data, pos, end)
     reason = Reason.SUCCESS
-    if remaining >= 3:
-        reason = r.u8()
-    if remaining >= 4:
-        _read_properties(r)
-    r.expect_end("PUBACK")
-    return PubAck(packet_id=packet_id, reason=reason)
+    if pos < end:
+        reason = data[pos]
+        pos += 1
+        if pos < end:
+            _, pos = _read_properties(data, pos, end, TYPE_PUBACK)
+    _expect_end(pos, end, "PUBACK")
+    return PubAck(packet_id, reason)
 
 
-def _decode_subscribe(r: _Reader) -> Subscribe:
-    packet_id = _check_packet_id(r.u16(), MalformedPacket)
-    _read_properties(r)
+def _decode_subscribe(data: bytes, pos: int, end: int, flags: int) -> Subscribe:
+    packet_id, pos = _packet_id(data, pos, end)
+    _, pos = _read_properties(data, pos, end, TYPE_SUBSCRIBE)
     filters = []
-    while not r.exhausted:
-        filt = r.string()
-        options = r.u8()
+    while pos < end:
+        filt, pos = _string(data, pos, end)
+        options, pos = _u8(data, pos, end)
         if options & 0xC0:
             raise MalformedPacket("reserved subscription option bits set")
         if (options & 0x03) >= 2:
@@ -684,22 +705,33 @@ def _decode_subscribe(r: _Reader) -> Subscribe:
     return Subscribe(packet_id=packet_id, filters=tuple(filters))
 
 
-def _decode_suback(r: _Reader) -> SubAck:
-    packet_id = _check_packet_id(r.u16(), MalformedPacket)
-    _read_properties(r)
-    reasons = tuple(r.rest())
+def _decode_suback(data: bytes, pos: int, end: int, flags: int) -> SubAck:
+    packet_id, pos = _packet_id(data, pos, end)
+    _, pos = _read_properties(data, pos, end, TYPE_SUBACK)
+    reasons = tuple(data[pos:end])
     if not reasons:
         raise MalformedPacket("SUBACK with no reason codes")
     return SubAck(packet_id=packet_id, reasons=reasons)
 
 
-def _decode_disconnect(r: _Reader, remaining: int) -> Disconnect:
-    if remaining == 0:
+def _decode_pingreq(data: bytes, pos: int, end: int, flags: int) -> PingReq:
+    _expect_end(pos, end, "PINGREQ")
+    return PingReq()
+
+
+def _decode_pingresp(data: bytes, pos: int, end: int, flags: int) -> PingResp:
+    _expect_end(pos, end, "PINGRESP")
+    return PingResp()
+
+
+def _decode_disconnect(data: bytes, pos: int, end: int, flags: int) -> Disconnect:
+    if pos == end:
         return Disconnect(reason=Reason.NORMAL)
-    reason = r.u8()
+    reason, pos = _u8(data, pos, end)
     reference = None
-    if remaining >= 2:
-        ref_text = _read_properties(r).get(PROP_SERVER_REFERENCE)
+    if pos < end:
+        properties, pos = _read_properties(data, pos, end, TYPE_DISCONNECT)
+        ref_text = properties.get(PROP_SERVER_REFERENCE)
         if ref_text is not None:
             if not _is_redirect(reason):
                 raise MalformedPacket(
@@ -708,5 +740,20 @@ def _decode_disconnect(r: _Reader, remaining: int) -> Disconnect:
                 reference = BrokerRef.parse(ref_text)
             except ValueError as exc:
                 raise MalformedPacket(f"bad server reference: {exc}") from exc
-    r.expect_end("DISCONNECT")
+    _expect_end(pos, end, "DISCONNECT")
     return Disconnect(reason=reason, server_reference=reference)
+
+
+# Packet type -> (name, the fixed-header flags it requires, or None when
+# the decoder reads them, decoder)
+_DECODERS = {
+    TYPE_CONNECT: ("CONNECT", 0, _decode_connect),
+    TYPE_CONNACK: ("CONNACK", 0, _decode_connack),
+    TYPE_PUBLISH: ("PUBLISH", None, _decode_publish),
+    TYPE_PUBACK: ("PUBACK", 0, _decode_puback),
+    TYPE_SUBSCRIBE: ("SUBSCRIBE", 0x2, _decode_subscribe),
+    TYPE_SUBACK: ("SUBACK", 0, _decode_suback),
+    TYPE_PINGREQ: ("PINGREQ", 0, _decode_pingreq),
+    TYPE_PINGRESP: ("PINGRESP", 0, _decode_pingresp),
+    TYPE_DISCONNECT: ("DISCONNECT", 0, _decode_disconnect),
+}

@@ -83,20 +83,23 @@ class PacketConnection:
         `timeout` bounds the whole wait; expiry raises TimeoutError with
         any partial bytes kept for the next call.  A packet whose fixed
         header declares more than MAX_PACKET_SIZE bytes raises
-        MalformedPacket before its body is buffered.
+        MalformedPacket before its body is buffered; a smaller one is
+        asked for whole, so one that has arrived costs one more read.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
+            want = _CHUNK
             if self._buf:
                 try:
                     packet, used = decode(self._buf)
                 except IncompletePacket as exc:
-                    if exc.needed is not None \
-                            and len(self._buf) + exc.needed > MAX_PACKET_SIZE:
-                        raise MalformedPacket(
-                            f"{self.peer} declared a packet of "
-                            f"{len(self._buf) + exc.needed} bytes, over "
-                            f"{MAX_PACKET_SIZE}") from None
+                    if exc.needed is not None:
+                        if len(self._buf) + exc.needed > MAX_PACKET_SIZE:
+                            raise MalformedPacket(
+                                f"{self.peer} declared a packet of "
+                                f"{len(self._buf) + exc.needed} bytes, over "
+                                f"{MAX_PACKET_SIZE}") from None
+                        want = max(_CHUNK, exc.needed)
                 else:
                     del self._buf[:used]
                     return packet
@@ -108,7 +111,7 @@ class PacketConnection:
                     raise TimeoutError(f"no packet from {self.peer} in {timeout}s")
                 self._sock.settimeout(remaining)
             try:
-                chunk = self._sock.recv(_CHUNK)
+                chunk = self._sock.recv(want)
             except socket.timeout:
                 raise TimeoutError(f"no packet from {self.peer} in {timeout}s") from None
             except OSError as exc:

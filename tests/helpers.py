@@ -10,6 +10,10 @@ from tdmqtt.packets import (
     BrokerRef,
     ConnAck,
     Connect,
+    Disconnect,
+    PingReq,
+    PingResp,
+    PubAck,
     Publish,
     Reason,
     Subscribe,
@@ -195,3 +199,57 @@ def admin_command(address: tuple[str, int], line: str) -> str:
                 break
             reply += chunk
     return reply.decode().strip()
+
+
+# --- random packets of every kind, for codec tests -------------------------
+
+_WORDS = ("sensors", "room", "a", "devices", "x7", "µ-unit", "temp", "42")
+
+
+def _rand_topic(rng):
+    return "/".join(rng.choice(_WORDS)
+                    for _ in range(rng.randint(1, 4)))
+
+
+def _rand_filter(rng):
+    topic = _rand_topic(rng)
+    return topic + "/#" if rng.random() < 0.3 else topic
+
+
+def random_packet(rng):
+    """A valid packet of one of the nine kinds, drawn from `rng`."""
+    kind = rng.randrange(9)
+    if kind == 0:
+        return Connect("".join(rng.choice("abc-0") for _ in range(rng.randint(0, 12))),
+                       keep_alive=rng.randrange(0x10000))
+    if kind == 1:
+        return ConnAck(reason=rng.randrange(256))
+    if kind == 2:
+        return Subscribe(rng.randint(1, 0xFFFF),
+                         tuple(_rand_filter(rng)
+                               for _ in range(rng.randint(1, 4))))
+    if kind == 3:
+        return SubAck(rng.randint(1, 0xFFFF),
+                      tuple(rng.choice((0x00, 0x8F, 0x97))
+                            for _ in range(rng.randint(1, 4))))
+    if kind == 4:
+        qos = rng.randint(0, 1)
+        return Publish(_rand_topic(rng),
+                       rng.randbytes(rng.randrange(64)),
+                       qos=qos,
+                       packet_id=rng.randint(1, 0xFFFF) if qos else None,
+                       retain=rng.random() < 0.5)
+    if kind == 5:
+        return PubAck(rng.randint(1, 0xFFFF), reason=rng.randrange(256))
+    if kind == 6:
+        return PingReq()
+    if kind == 7:
+        return PingResp()
+    reason = rng.choice((Reason.NORMAL, Reason.TOPIC_FILTER_NOT_ACCEPTED,
+                         Reason.USE_ANOTHER_SERVER, Reason.SERVER_MOVED))
+    ref = None
+    if reason in (Reason.USE_ANOTHER_SERVER, Reason.SERVER_MOVED) \
+            and rng.random() < 0.8:
+        ref = BrokerRef(rng.choice(("b1", "10.0.0.9", "edge.example")),
+                        rng.randint(1, 0xFFFF))
+    return Disconnect(reason=reason, server_reference=ref)

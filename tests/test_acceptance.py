@@ -13,7 +13,7 @@ import time
 import pytest
 
 from conftest import free_port
-from helpers import admin_command, connect, wait_until
+from helpers import admin_command, connect, random_packet, wait_until
 from tdmqtt.client import transparent_subscribe
 from tdmqtt.evalmodel import (
     EmmaParams,
@@ -28,18 +28,9 @@ from tdmqtt.evalmodel import (
 from tdmqtt.master import DiscoveryConfig, broker_discovery
 from tdmqtt.packets import (
     BrokerRef,
-    ConnAck,
-    Connect,
-    Disconnect,
     IncompletePacket,
     MalformedPacket,
-    PingReq,
-    PingResp,
-    PubAck,
     Publish,
-    Reason,
-    SubAck,
-    Subscribe,
     decode,
     encode,
 )
@@ -76,62 +67,11 @@ class Sink:
 
 # --- 1. codec soundness -------------------------------------------------------------
 
-_WORDS = ("sensors", "room", "a", "devices", "x7", "µ-unit", "temp", "42")
-
-
-def _rand_topic(rng):
-    return "/".join(rng.choice(_WORDS)
-                    for _ in range(rng.randint(1, 4)))
-
-
-def _rand_filter(rng):
-    topic = _rand_topic(rng)
-    return topic + "/#" if rng.random() < 0.3 else topic
-
-
-def _rand_packet(rng):
-    kind = rng.randrange(9)
-    if kind == 0:
-        return Connect("".join(rng.choice("abc-0") for _ in range(rng.randint(0, 12))),
-                       keep_alive=rng.randrange(0x10000))
-    if kind == 1:
-        return ConnAck(reason=rng.randrange(256))
-    if kind == 2:
-        return Subscribe(rng.randint(1, 0xFFFF),
-                         tuple(_rand_filter(rng)
-                               for _ in range(rng.randint(1, 4))))
-    if kind == 3:
-        return SubAck(rng.randint(1, 0xFFFF),
-                      tuple(rng.choice((0x00, 0x8F, 0x97))
-                            for _ in range(rng.randint(1, 4))))
-    if kind == 4:
-        qos = rng.randint(0, 1)
-        return Publish(_rand_topic(rng),
-                       rng.randbytes(rng.randrange(64)),
-                       qos=qos,
-                       packet_id=rng.randint(1, 0xFFFF) if qos else None,
-                       retain=rng.random() < 0.5)
-    if kind == 5:
-        return PubAck(rng.randint(1, 0xFFFF), reason=rng.randrange(256))
-    if kind == 6:
-        return PingReq()
-    if kind == 7:
-        return PingResp()
-    reason = rng.choice((Reason.NORMAL, Reason.TOPIC_FILTER_NOT_ACCEPTED,
-                         Reason.USE_ANOTHER_SERVER, Reason.SERVER_MOVED))
-    ref = None
-    if reason in (Reason.USE_ANOTHER_SERVER, Reason.SERVER_MOVED) \
-            and rng.random() < 0.8:
-        ref = BrokerRef(rng.choice(("b1", "10.0.0.9", "edge.example")),
-                        rng.randint(1, 0xFFFF))
-    return Disconnect(reason=reason, server_reference=ref)
-
-
 @criterion(1, "codec round-trip soundness")
 def test_c01_codec_soundness():
     rng = random.Random(20260819)
     start = time.monotonic()
-    packets = [_rand_packet(rng) for _ in range(10_000)]
+    packets = [random_packet(rng) for _ in range(10_000)]
     for packet in packets:
         wire = encode(packet)
         got, used = decode(wire)

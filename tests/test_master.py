@@ -24,7 +24,13 @@ from tdmqtt import master as master_module
 from tdmqtt.broker import EdgeBroker
 from tdmqtt.client import transparent_subscribe
 from tdmqtt.errors import BrokerUnreachable, NoSuchTopic
-from tdmqtt.master import DiscoveryConfig, Registry, broker_discovery, topic_discovery
+from tdmqtt.master import (
+    DiscoveryConfig,
+    Registry,
+    Topics,
+    broker_discovery,
+    topic_discovery,
+)
 from tdmqtt.packets import (
     BrokerRef,
     ConnAck,
@@ -36,6 +42,7 @@ from tdmqtt.packets import (
     Reason,
     Subscribe,
     SubAck,
+    matched_topics,
     matching_filters,
     topic_matches,
 )
@@ -327,6 +334,27 @@ def test_a_filtered_census_replaces_only_the_topics_its_filter_matches(
             assert after.version is not None
     finally:
         broker.stop()
+
+
+@pytest.mark.parametrize("listed", [
+    set(),
+    {"s/1", "s/3"},
+    {"s", "s/0", "s/1", "s/2", "s/3", "s/10", "s/2/b"},
+    {"s/1", "s/25", "s/9/z", "s"},
+], ids=["all-gone", "some-gone", "some-new", "some-gone-some-new"])
+def test_a_filtered_census_merge_equals_a_fresh_build(listed):
+    """Replacing the topics one filter matches keeps the installed
+    order, drops the topics that left and inserts the new ones: the
+    result is the Topics a fresh build gives, in content and order."""
+    installed = Topics({f"{p}/{i}" for p in "rst" for i in range(4)}
+                       | {"s", "a/b", "s1"}, "v1")
+    matched = matched_topics("s/#", installed)
+    merged = installed.replaced(matched, listed)
+    fresh = Topics(listed | (installed - matched))
+    assert merged == fresh
+    assert merged.ordered == fresh.ordered
+    assert merged.version is None
+    assert installed.ordered == sorted(installed)  # left as it was
 
 
 # --- registry ---------------------------------------------------------------

@@ -5,8 +5,11 @@ layout rules before the codec existed, so encode() is checked against an
 independent source, not against itself.
 """
 
+import random
+
 import pytest
 
+from helpers import random_packet
 from tdmqtt.packets import (
     BrokerRef,
     ConnAck,
@@ -251,6 +254,34 @@ def test_a_publish_may_repeat_its_subscription_identifier():
     assert decode(wire) == (Publish("t", b"hi"), len(wire))
 
 
+@pytest.mark.parametrize("wire", [
+    hx("20 05 00 00 02 0B00"),  # subscription identifier on a CONNACK
+    hx("E0 04 00 02 0B01"),     # and on a DISCONNECT
+    hx("40 07 0005 00 03 1C 0000"),  # server reference on a PUBACK
+    hx("82 0C 0001 03 230001 0003 612F23 00"),  # topic alias on a SUBSCRIBE
+], ids=["connack-subscription-identifier", "disconnect-subscription-identifier",
+        "puback-server-reference", "subscribe-topic-alias"])
+def test_a_property_its_packet_type_does_not_allow_is_rejected(wire):
+    with pytest.raises(MalformedPacket, match="not allowed"):
+        decode(wire)
+
+
+@pytest.mark.parametrize("wire,packet", [
+    (hx("40 0A 0005 10 06 1F 0003") + b"bye", PubAck(5, 0x10)),
+    (hx("82 0B 0001 02 0B05 0003 612F23 00"), Subscribe(1, ("a/#",))),
+], ids=["puback-reason-string", "subscribe-subscription-identifier"])
+def test_a_property_its_packet_type_allows_is_read(wire, packet):
+    assert decode(wire) == (packet, len(wire))
+
+
+@pytest.mark.parametrize("props", [hx("02 0B00"), hx("04 0B01 0B00")],
+                         ids=["alone", "repeated"])
+def test_a_subscription_identifier_of_zero_is_rejected(props):
+    body = hx("0001") + b"t" + props + b"hi"
+    with pytest.raises(MalformedPacket, match="subscription identifier 0"):
+        decode(bytes([0x30, len(body)]) + body)
+
+
 def test_server_reference_on_normal_disconnect_rejected():
     props = bytes([0x1C]) + hx("0007") + b"b2:1883"
     body = bytes([0x00, len(props)]) + props
@@ -363,3 +394,49 @@ def test_redirect_without_target_refuses_the_topic():
     packet, _ = decode(encode(redirect(None)))
     assert packet.reason == 0x8F
     assert packet.server_reference is None
+
+
+# --- mutated packets ------------------------------------------------------
+
+def _mutants(wire: bytes):
+    """Every single-byte change of `wire`, every proper prefix, and
+    `wire` declaring 1, 2 or 128 more body bytes than it has, with and
+    without that many extra 0x00 or 0xFF bytes behind it."""
+    for at in range(len(wire)):
+        for value in range(256):
+            if value != wire[at]:
+                mutant = bytearray(wire)
+                mutant[at] = value
+                yield mutant
+    for cut in range(len(wire)):
+        yield wire[:cut]
+    header = 2
+    while wire[header - 1] & 0x80:  # a continued remaining length
+        header += 1
+    for grown in (1, 2, 128):
+        longer = wire[:1] + encode_varint(len(wire) - header + grown) \
+            + wire[header:]
+        yield longer
+        yield longer + bytes(grown)
+        yield longer + b"\xff" * grown
+
+
+def test_mutated_packets_decode_or_fail_cleanly():
+    # the first three packets of each of the nine kinds that c01 draws
+    rng = random.Random(20260819)
+    sample: dict[type, list] = {}
+    while sum(map(len, sample.values())) < 27:
+        packet = random_packet(rng)
+        kind = sample.setdefault(type(packet), [])
+        if len(kind) < 3:
+            kind.append(packet)
+    for packet in (p for kind in sample.values() for p in kind):
+        for mutant in _mutants(encode(packet)):
+            try:
+                _, used = decode(mutant)
+            except (IncompletePacket, MalformedPacket):
+                continue
+            except Exception as exc:
+                raise AssertionError(
+                    f"{bytes(mutant).hex()} raised {exc!r}") from exc
+            assert used <= len(mutant)

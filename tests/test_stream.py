@@ -58,6 +58,33 @@ def test_large_publish_split_into_pieces(tcp_pair):
     assert type(packet.payload) is bytes
 
 
+class CountingSocket:
+    """A socket that counts its recv() calls."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self.recvs = 0
+
+    def recv(self, size: int) -> bytes:
+        self.recvs += 1
+        return self._sock.recv(size)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_a_large_packet_that_has_arrived_costs_two_reads(tcp_pair):
+    sender, conn = tcp_pair
+    big = Publish("big/one", bytes(range(256)) * 128)
+    wire = encode(big)
+    sender.sendall(wire)
+    wait_until(lambda: len(conn._sock.recv(len(wire), socket.MSG_PEEK))
+               == len(wire))
+    counting = conn._sock = CountingSocket(conn._sock)
+    assert conn.recv(timeout=2) == big
+    assert counting.recvs <= 2  # the first chunk, then the rest at once
+
+
 @pytest.mark.parametrize("total, refused", [(MAX_PACKET_SIZE, False),
                                             (MAX_PACKET_SIZE + 1, True)])
 def test_the_fixed_header_decides_whether_a_packet_fits(tcp_pair, total,
