@@ -1,10 +1,13 @@
 """JSON configuration shared by every command-line role.
 
 One file, four sections ("master", "broker", "client", "eval"), all
-optional.  Durations in the master section are milliseconds (the knobs
-are sweep timings); the client and eval sections use plain seconds.
-Unknown sections or keys are rejected rather than ignored so a typo
-fails loudly instead of silently running with defaults.
+optional.  Each section is a table from key to the reader of its kind of
+value, and the top level is read the same way with the sections as its
+keys.  A duration whose key ends in "_ms" is milliseconds (the master's
+sweep timings), any other seconds.  Unknown sections or keys are
+rejected rather than ignored so a typo fails loudly instead of silently
+running with defaults, and every error about a value names its section
+and key.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import ipaddress
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .evalmodel import ALL_KINDS, EmmaParams, EvalParams, MOBILITY_MODELS, default_sizes
@@ -27,18 +30,18 @@ ENV_VAR = "TDMQTT_CONFIG"
 MAX_RANGE = 65536
 
 
-def expand_address_range(value) -> tuple[str, ...]:
+def expand_address_range(value, name: str = "address_range") -> tuple[str, ...]:
     """Turn a host, CIDR block, or list of either into census addresses.
 
     "10.0.0.5" stays itself, "10.0.0.0/30" becomes its usable hosts,
     and anything else without a '/' (a hostname, say) passes through
     verbatim; an item with a '/' that is no IP network is a ConfigError.
-    Order is preserved, duplicates dropped.
+    Order is preserved, duplicates dropped.  Errors call the value name.
     """
     if isinstance(value, str):
         value = [value]
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError("address_range must be a string or list of strings")
+        raise ConfigError(f"{name} must be a string or list of strings")
     out: list[str] = []
     seen: set[str] = set()
     for item in value:
@@ -46,11 +49,11 @@ def expand_address_range(value) -> tuple[str, ...]:
             net = ipaddress.ip_network(item)
         except ValueError as exc:
             if "/" in item:
-                raise ConfigError(f"address range {item!r}: {exc}") from exc
+                raise ConfigError(f"{name} {item!r}: {exc}") from exc
             hosts = [item]  # hostname or bare label: leave resolution to connect()
         else:
             if net.num_addresses > MAX_RANGE:
-                raise ConfigError(f"address range {item!r} covers "
+                raise ConfigError(f"{name} {item!r} covers "
                                   f"{net.num_addresses} addresses "
                                   f"(limit {MAX_RANGE})")
             hosts = [str(h) for h in net.hosts()]
@@ -61,40 +64,86 @@ def expand_address_range(value) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _parse_ref(value, key: str) -> BrokerRef:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a host:port string")
-    try:
-        return BrokerRef.parse(value)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+# --- readers: each takes a JSON value and the name <section>.<key> it is read
+# under, and returns the value to store or raises a ConfigError naming it ----
+
+def _read(raw, section: str, readers: dict) -> dict:
+    """The keys of the JSON object raw, each read by its entry in
+    readers; keys raw leaves out are left out.  A raw that is no object,
+    and a key readers lacks, are errors.  The top level is section ''."""
+    where = f"[{section}]" if section else "the top level"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(raw) - set(readers)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: " + ", ".join(sorted(unknown)))
+    return {key: readers[key](value, f"{section}.{key}" if section else key)
+            for key, value in raw.items()}
 
 
-def _is_number(value) -> bool:
-    """True for a JSON number a float holds finitely: json also reads
-    NaN, Infinity and integers too large for any float."""
+def _section(cls: type, readers: dict, fields: dict[str, str] = {}):
+    """A reader of one section into cls: each key's value goes to the
+    field fields names for it, or to the field of the key's own name."""
+    return lambda value, name: cls(**{fields.get(key, key): v for key, v
+                                      in _read(value, name, readers).items()})
+
+
+def _finite(value, kind: type = float) -> bool:
+    """True for a JSON number of kind that a float holds finitely: json
+    also reads NaN, Infinity and integers too large for any float."""
     try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number; an int beyond floats
+        return isinstance(value, int if kind is int else (int, float)) \
+            and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond floats
         return False
 
 
-def _duration(raw: dict, key: str, default: float) -> float:
-    """raw[key], or default, in seconds: a key ending in '_ms' holds
-    milliseconds, any other key seconds."""
-    value = raw.get(key, default)
-    in_ms = key.endswith("_ms")
-    if not _is_number(value) or value <= 0:
-        raise ConfigError(f"{key} must be a positive number of "
+def _number(kind: type = float, low: float = -math.inf, high: float = math.inf):
+    """A reader of a finite number in low..high.  Where kind is int the
+    number must be a JSON integer: a fraction is an error, not truncated."""
+    what = "an integer" if kind is int else "a finite number"
+    if high < math.inf:
+        what += f" in {low}..{high}"
+    elif low > -math.inf:
+        what += f" >= {low}"
+
+    def read(value, name: str):
+        if not (_finite(value, kind) and low <= value <= high):
+            raise ConfigError(f"{name} must be {what}")
+        return kind(value)
+    return read
+
+
+def _duration(value, name: str) -> float:
+    """Seconds, from a positive number of milliseconds where the key
+    ends in '_ms', else of seconds."""
+    in_ms = name.endswith("_ms")
+    if not (_finite(value) and value > 0):
+        raise ConfigError(f"{name} must be a positive number of "
                           + ("milliseconds" if in_ms else "seconds"))
     return value / 1000.0 if in_ms else float(value)
 
 
-def _check_keys(raw: dict, section: str, allowed: set[str]) -> None:
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in [{section}]: "
-                          + ", ".join(sorted(unknown)))
+def _host_port(value, name: str) -> BrokerRef:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a host:port string")
+    try:
+        return BrokerRef.parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _choice(options: tuple[str, ...]):
+    def read(value, name: str) -> str:
+        if value not in options:
+            raise ConfigError(f"{name} must be one of " + ", ".join(sorted(options)))
+        return value
+    return read
+
+
+def _sizes(value, name: str) -> dict[str, float]:
+    """Bits per message kind; a kind left out keeps its default."""
+    return default_sizes() | _read(value, name, dict.fromkeys(ALL_KINDS, _number()))
 
 
 @dataclass(frozen=True)
@@ -134,127 +183,49 @@ class Config:
     eval: EvalConfig = EvalConfig()
 
 
-def _master_section(raw: dict) -> MasterConfig:
-    _check_keys(raw, "master", {"listen", "address_range", "broker_port",
-                                "timeout_ms", "listen_window_ms",
-                                "refresh_period_ms"})
-    defaults = MasterConfig()
-    port = raw.get("broker_port", defaults.broker_port)
-    if not isinstance(port, int) or isinstance(port, bool) or not 1 <= port <= 65535:
-        raise ConfigError("broker_port must be an integer in 1..65535")
-    return MasterConfig(
-        listen=_parse_ref(raw["listen"], "master.listen")
-        if "listen" in raw else defaults.listen,
-        addresses=expand_address_range(raw.get("address_range", [])),
-        broker_port=port,
-        timeout=_duration(raw, "timeout_ms", defaults.timeout * 1000),
-        listen_window=_duration(raw, "listen_window_ms",
-                                defaults.listen_window * 1000),
-        refresh_period=_duration(raw, "refresh_period_ms",
-                                 defaults.refresh_period * 1000),
-    )
+_EVAL = {
+    "throughput": _number(), "service_time": _number(),
+    "arrival_rate": _number(), "n_brokers": _number(int),
+    "timeout": _number(), "per_hop_delay": _number(),
+    "max_pub_hops": _number(int), "sizes": _sizes,
+    "steps": _number(int, 1), "mobility_model": _choice(MOBILITY_MODELS),
+    "seed": _number(int, 0),
+    "emma": lambda value, name: _read(value, name, dict.fromkeys(
+        ("probe_time", "reconnect_time"), _duration)),
+}
 
 
-def _broker_section(raw: dict) -> BrokerConfig:
-    _check_keys(raw, "broker", {"listen", "admin_port"})
-    defaults = BrokerConfig()
-    admin = raw.get("admin_port")
-    if admin is not None and (not isinstance(admin, int) or isinstance(admin, bool)
-                              or not 0 <= admin <= 65535):
-        raise ConfigError("admin_port must be an integer in 0..65535")
-    return BrokerConfig(
-        listen=_parse_ref(raw["listen"], "broker.listen")
-        if "listen" in raw else defaults.listen,
-        admin_port=admin,
-    )
-
-
-def _client_section(raw: dict) -> ClientConfig:
-    _check_keys(raw, "client", {"master", "keepalive_s", "timeout_s"})
-    defaults = ClientConfig()
-    return ClientConfig(
-        master=_parse_ref(raw["master"], "client.master")
-        if "master" in raw else defaults.master,
-        keepalive_s=_duration(raw, "keepalive_s", defaults.keepalive_s),
-        timeout_s=_duration(raw, "timeout_s", defaults.timeout_s),
-    )
-
-
-def _eval_section(raw: dict) -> EvalConfig:
-    _check_keys(raw, "eval", {"throughput", "service_time", "arrival_rate",
-                              "n_brokers", "timeout", "per_hop_delay",
-                              "max_pub_hops", "sizes", "steps",
-                              "mobility_model", "seed", "emma"})
-    defaults = EvalConfig()
-    base = defaults.params
-
-    sizes = default_sizes()
-    user_sizes = raw.get("sizes", {})
-    if not isinstance(user_sizes, dict):
-        raise ConfigError("eval.sizes must be an object of name -> bits")
-    for kind, bits in user_sizes.items():
-        if kind not in ALL_KINDS:
-            raise ConfigError(f"eval.sizes: unknown message kind {kind!r}")
-        if not _is_number(bits) or bits <= 0:
-            raise ConfigError(f"eval.sizes.{kind} must be a positive number")
-        sizes[kind] = float(bits)
-
-    def num(key, default, *, minimum=None):
-        value = raw.get(key, default)
-        if not _is_number(value):
-            raise ConfigError(f"eval.{key} must be a finite number")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"eval.{key} must be >= {minimum}")
-        return value
-
+def _eval(value, name: str) -> EvalConfig:
+    """EvalConfig() with the keys given replaced; EvalParams and
+    EmmaParams check their own ranges."""
+    given, ev = _read(value, name, _EVAL), EvalConfig()
+    emma = given.pop("emma", {})
+    outer = {key: given.pop(key) for key in ("steps", "mobility_model", "seed")
+             if key in given}
     try:
-        params = EvalParams(
-            throughput=float(num("throughput", base.throughput)),
-            service_time=float(num("service_time", base.service_time)),
-            arrival_rate=float(num("arrival_rate", base.arrival_rate)),
-            n_brokers=int(num("n_brokers", base.n_brokers, minimum=0)),
-            timeout=float(num("timeout", base.timeout)),
-            per_hop_delay=float(num("per_hop_delay", base.per_hop_delay)),
-            max_pub_hops=int(num("max_pub_hops", base.max_pub_hops, minimum=1)),
-            sizes=sizes,
-        )
+        return replace(ev, params=replace(ev.params, **given),
+                       emma=replace(ev.emma, **emma), **outer)
     except ValueError as exc:
         raise ConfigError(f"eval: {exc}") from exc
 
-    steps = raw.get("steps", defaults.steps)
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-        raise ConfigError("eval.steps must be a positive integer")
-    model = raw.get("mobility_model", defaults.mobility_model)
-    if model not in MOBILITY_MODELS:
-        raise ConfigError(f"eval.mobility_model must be one of "
-                          + ", ".join(sorted(MOBILITY_MODELS)))
-    seed = raw.get("seed", defaults.seed)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("eval.seed must be a non-negative integer")
-
-    emma_raw = raw.get("emma", {})
-    if not isinstance(emma_raw, dict):
-        raise ConfigError("eval.emma must be an object")
-    _check_keys(emma_raw, "eval.emma", {"probe_time", "reconnect_time"})
-    try:
-        emma = EmmaParams(
-            probe_time=_duration(emma_raw, "probe_time",
-                                 defaults.emma.probe_time),
-            reconnect_time=_duration(emma_raw, "reconnect_time",
-                                     defaults.emma.reconnect_time),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"eval.emma: {exc}") from exc
-
-    return EvalConfig(params=params, steps=steps, mobility_model=model,
-                      seed=seed, emma=emma)
-
 
 _SECTIONS = {
-    "master": _master_section,
-    "broker": _broker_section,
-    "client": _client_section,
-    "eval": _eval_section,
+    "master": _section(MasterConfig, {
+        "listen": _host_port, "address_range": expand_address_range,
+        "broker_port": _number(int, 1, 65535), "timeout_ms": _duration,
+        "listen_window_ms": _duration, "refresh_period_ms": _duration,
+    }, fields={"address_range": "addresses", "timeout_ms": "timeout",
+               "listen_window_ms": "listen_window",
+               "refresh_period_ms": "refresh_period"}),
+    "broker": _section(BrokerConfig, {
+        "listen": _host_port,
+        "admin_port": lambda value, name: None if value is None
+        else _number(int, 0, 65535)(value, name),
+    }),
+    "client": _section(ClientConfig, {
+        "master": _host_port, "keepalive_s": _duration, "timeout_s": _duration,
+    }),
+    "eval": _eval,
 }
 
 
@@ -275,15 +246,4 @@ def load_config(path: str | None = None) -> Config:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    unknown = set(raw) - set(_SECTIONS)
-    if unknown:
-        raise ConfigError("unknown section(s): " + ", ".join(sorted(unknown)))
-    parts = {}
-    for name, build in _SECTIONS.items():
-        section = raw.get(name, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"section [{name}] must be a JSON object")
-        parts[name] = build(section)
-    return Config(**parts)
+    return Config(**_read(raw, "", _SECTIONS))

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from conftest import free_port
 from helpers import (
     ScriptedBroker,
     SilentBroker,
@@ -16,6 +17,7 @@ from helpers import (
     subscribe,
     wait_until,
 )
+from tdmqtt import client as client_module
 from tdmqtt import master as master_module
 from tdmqtt.client import (
     SessionState,
@@ -448,6 +450,130 @@ def test_racing_sessions_lose_no_session_and_keep_one_idle_pump(
     assert not any(o.is_alive() for o in openers)
     assert missed == []
     wait_until(lambda: sum(t.is_alive() for t in pumps) <= 1)
+
+
+# --- recovery paths --------------------------------------------------------------
+
+def test_a_move_to_a_dead_broker_asks_the_master(make_fleet, make_master,
+                                                 sink, sessions):
+    brokers, port = make_fleet(2)
+    a, b = brokers
+    publish(a.address, "mv/dead", b"v1")
+    master = make_master(addresses(3), port)
+    session = open_session(sessions, master, "mv/dead", sink)
+    sink.wait(1)
+    publish(b.address, "mv/dead", b"v2")
+    dead = BrokerRef("127.0.0.3", port)  # censused, but no broker there
+    a.relocate_topic("mv/dead", dead)
+    wait_until(lambda: session.broker == b.address, timeout=5)
+    trail = session.events()
+    moved = trail.index(("moved", str(dead)))
+    assert trail[moved + 1] == ("resolve", str(master.address))
+    assert ("attach", str(dead)) not in trail
+
+
+def kinds_since_loss(session) -> list[str]:
+    """The kinds of the session's events from its first loss on."""
+    kinds = [kind for kind, _ in session.events()]
+    return kinds[kinds.index("lost"):] if "lost" in kinds else []
+
+
+def test_recovery_retries_an_unreachable_master_until_one_answers(
+        make_fleet, make_master, sink, sessions, monkeypatch):
+    monkeypatch.setattr(client_module, "BACKOFF_FIRST", 0.05)
+    monkeypatch.setattr(client_module, "BACKOFF_CAP", 0.1)
+    brokers, port = make_fleet(2)
+    a, b = brokers
+    publish(a.address, "down/m", b"v1")
+    master_port = free_port()
+    master = make_master(addresses(2), port, port=master_port)
+    session = open_session(sessions, master, "down/m", sink)
+    sink.wait(1)
+    master.stop()
+    publish(b.address, "down/m", b"v2")
+    a.stop()
+
+    wait_until(lambda: kinds_since_loss(session).count("resolve") >= 3)
+    assert set(kinds_since_loss(session)) == {"lost", "resolve"}  # no answer
+    make_master(addresses(2), port, port=master_port)  # the same address
+    wait_until(lambda: session.broker == b.address)
+    asks = kinds_since_loss(session).count("resolve")
+    time.sleep(0.3)  # several back-off caps: a retry would show by now
+    assert kinds_since_loss(session).count("resolve") == asks
+    assert kinds_since_loss(session).count("attach") == 1
+    assert session.state is SessionState.SUBSCRIBED
+
+
+def test_a_long_attachment_resets_the_back_off(make_fleet, make_master, sink,
+                                              sessions, monkeypatch):
+    monkeypatch.setattr(client_module, "QUICK_BOUNCE_S", 0.2)
+    brokers, port = make_fleet(1)
+    publish(brokers[0].address, "reset/t", b"v")
+    master = make_master(addresses(1), port)
+    session = open_session(sessions, master, "reset/t", sink)
+    sink.wait(1)
+    time.sleep(0.3)  # the attachment outlives QUICK_BOUNCE_S
+    session._backoff = client_module.BACKOFF_CAP  # as after quick bounces
+    master.stop()
+    brokers[0].stop()
+
+    wait_until(lambda: kinds_since_loss(session).count("resolve") >= 2)
+    timeline = session.timeline()
+    kinds = [kind for _, kind, _ in timeline]
+    # the master is down, so every event after the loss is an ask
+    lost_at, first, second = (
+        t for t, _, _ in timeline[kinds.index("lost"):][:3])
+    assert first - lost_at < client_module.BACKOFF_FIRST  # no pause
+    # the second ask waits BACKOFF_FIRST, not the BACKOFF_CAP left over
+    assert second - first < client_module.BACKOFF_CAP / 2
+
+
+def test_a_refused_suback_is_broker_unreachable_and_hangs_up():
+    received = []
+
+    def refuse(conn):
+        while (packet := conn.recv(timeout=5)) is not None:
+            received.append(packet)
+            if isinstance(packet, Subscribe):
+                conn.send(SubAck(packet.packet_id,
+                                 (Reason.TOPIC_FILTER_NOT_ACCEPTED,)))
+        received.append(None)
+
+    peer = ScriptedBroker(refuse)
+    session = SubscriberSession(BrokerRef("127.0.0.1", 1), "t",
+                                lambda packet: None, timeout=0.5)
+    try:
+        # the error's traceback holds the connection: no collector closes it
+        with pytest.raises(BrokerUnreachable,
+                           match="refused filter") as refused:
+            session._attach(peer.address)
+        wait_until(lambda: received[-1:] == [None])  # the client hung up
+        assert session.broker is None and refused.traceback
+    finally:
+        peer.stop()
+
+
+def test_a_qos1_delivery_is_acknowledged_with_its_packet_id(sink, sessions):
+    received = []
+
+    def deliver(conn):
+        request = conn.recv(timeout=5)
+        conn.send(SubAck(request.packet_id, (Reason.SUCCESS,)))
+        conn.send(Publish("q1/t", b"v", qos=1, packet_id=77))
+        while (packet := conn.recv(timeout=5)) is not None:
+            received.append(packet)
+
+    peer = ScriptedBroker(deliver)
+    session = SubscriberSession(BrokerRef("127.0.0.1", 1), "q1/t", sink,
+                                keepalive=2.0, timeout=2.0)
+    sessions.append(session)
+    try:
+        session._start_thread(session._attach(peer.address))
+        assert sink.wait(1)[0].packet_id == 77
+        wait_until(lambda: PubAck(77) in received)
+    finally:
+        session.close()
+        peer.stop()
 
 
 # --- publish helpers ---------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -267,7 +269,37 @@ def test_eval_saturated_queue_is_config_error(write_config):
     {"sizes": {"connect": float("nan")}},
     {"sizes": {"connect": float("inf")}},
     {"emma": {"probe_time": float("inf")}},
+    {"n_brokers": 2.7},
+    {"max_pub_hops": 1.5},
 ])
 def test_eval_section_bad_values(write_config, section):
     with pytest.raises(ConfigError):
         load_config(write_config({"eval": section}))
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"eval": {"n_brokers": 2.7}}, "eval.n_brokers must be an integer"),
+    ({"master": {"broker_port": "1883"}},
+     "master.broker_port must be an integer in 1..65535"),
+    ({"broker": {"listen": ":80"}}, "broker.listen: "),
+    ({"client": {"master": 1884}}, "client.master must be a host:port string"),
+    ({"eval": {"mobility_model": "teleport"}}, "eval.mobility_model must be one of"),
+    ({"eval": {"sizes": {"connect": float("nan")}}},
+     "eval.sizes.connect must be a finite number"),
+    ({"master": {"address_range": "10.0.0.1/30"}}, "master.address_range "),
+    ({"eval": {"seed": -1}}, "eval.seed must be an integer >= 0"),
+])
+def test_a_bad_value_names_its_section_and_key(write_config, config, message):
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        load_config(write_config(config))
+
+
+def test_the_readme_example_loads(write_config):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    config = load_config(write_config(example))
+    assert config.master.addresses[0] == "10.0.0.1"
+    assert config.master.addresses[-1] == "edge-host"
+    assert config.broker.admin_port == 0
+    assert config.eval.params.sizes["publish"] == 400.0
+    assert config.eval.emma.reconnect_time == 0.009

@@ -194,6 +194,29 @@ def test_reason_string_property_is_accepted_on_disconnect():
     assert pkt == Disconnect(Reason.TOPIC_FILTER_NOT_ACCEPTED)
 
 
+def test_correlation_data_on_a_publish_is_read_and_skipped():
+    props = hx("09 0003 00FF01")  # Correlation Data: binary, not UTF-8
+    body = hx("0001") + b"t" + bytes([len(props)]) + props + b"hi"
+    wire = bytes([0x30, len(body)]) + body
+    assert decode(wire) == (Publish("t", b"hi"), len(wire))
+
+
+def test_authentication_data_on_a_connect_is_read_and_skipped():
+    props = hx("15 0005") + b"SCRAM" + hx("16 0002 CAFE")  # method, data
+    body = hx("0004 4D515454 05 02 003C") + bytes([len(props)]) + props \
+        + hx("0002 6162")
+    wire = bytes([0x10, len(body)]) + body
+    assert decode(wire) == (Connect("ab", keep_alive=60), len(wire))
+
+
+def test_binary_data_running_past_its_property_block_is_malformed():
+    # the block is 4 bytes; the Correlation Data claims 5, which the
+    # payload behind the block would supply
+    body = hx("0001 74 04 09 0005 68 6978797A")
+    with pytest.raises(MalformedPacket, match="shorter than declared"):
+        decode(bytes([0x30, len(body)]) + body)
+
+
 # --- malformed input ------------------------------------------------------
 
 @pytest.mark.parametrize("wire,why", [
