@@ -19,7 +19,13 @@ session's filters.
 Every CONNACK carries the topic-table version: a token drawn once per
 broker plus a count of the topics the message table gained or lost.  A
 value update leaves it alone, so a census that reads an unchanged
-version knows the topic set without replaying it.
+version knows the topic set without replaying it.  It also advertises
+MAX_PACKET_SIZE.
+
+Every send to a client has the deadline stream.SEND_TIMEOUT.  A session
+that misses it is disconnected as a slow consumer, so a subscriber that
+stops reading costs a publisher, or a relocation, at most one deadline.
+A QoS 1 publish is acknowledged after its fan-out.
 """
 
 from __future__ import annotations
@@ -48,8 +54,9 @@ from .packets import (
     validate_filters,
     validate_topic,
 )
-from .errors import ConnectionClosed
-from .stream import PacketConnection, Server, serve_mqtt
+from . import stream
+from .errors import ConnectionClosed, SendTimedOut
+from .stream import MAX_PACKET_SIZE, PacketConnection, Server, serve_mqtt
 
 logger = logging.getLogger(__name__)
 
@@ -63,8 +70,12 @@ class _Session:
         self.filters: set[str] = set()
         self._pid = itertools.count(1)
 
-    def next_packet_id(self) -> int:
-        return (next(self._pid) - 1) % 0xFFFF + 1
+    def message(self, topic: str, payload: bytes, qos: int,
+                retain: bool) -> Publish:
+        """A delivery to this session, with its next packet id at QoS 1."""
+        packet_id = (next(self._pid) - 1) % 0xFFFF + 1 if qos == 1 else None
+        return Publish(topic, payload, qos=qos, packet_id=packet_id,
+                       retain=retain)
 
 
 class EdgeBroker:
@@ -119,7 +130,8 @@ class EdgeBroker:
     def _connack(self) -> ConnAck:
         with self._lock:
             version = f"{self._table_token}-{self._table_changes}"
-        return ConnAck(Reason.SUCCESS, topic_table_version=version)
+        return ConnAck(Reason.SUCCESS, topic_table_version=version,
+                       max_packet_size=MAX_PACKET_SIZE)
 
     def _register(self, conn: PacketConnection, connect: Connect) -> _Session:
         client_id = connect.client_id
@@ -171,7 +183,8 @@ class EdgeBroker:
         return isinstance(packet, PubAck)  # acknowledgements are not tracked
 
     def _handle_subscribe(self, session: _Session, sub: Subscribe) -> bool:
-        """Returns False when the session was redirected and must close."""
+        """Returns False when the session was redirected, or a send to it
+        failed, and must close."""
         reasons, accepted = validate_filters(sub.filters)
         # Routed publishes wait until the SUBACK and the replay are out;
         # the send lock is taken first, never while holding self._lock.
@@ -185,13 +198,14 @@ class EdgeBroker:
                 snapshot = [(t, *self._messages[t]) for t in sorted(replay)]
                 notice = next((self._relocations[f] for f in accepted
                                if f in self._relocations), None)
-            session.conn.send(SubAck(sub.packet_id, reasons))
-            for topic, payload, qos in snapshot:
-                self._deliver(session, topic, payload, qos, retain=True)
+            # a failed send drops the rest of the replay
+            sent = _send(session, SubAck(sub.packet_id, reasons)) and all(
+                _send(session, session.message(*message, retain=True))
+                for message in snapshot)
         if notice is not None:
-            session.conn.send(notice)
+            _send(session, notice)
             return False
-        return True
+        return sent
 
     def _handle_publish(self, session: _Session, pub: Publish) -> bool:
         with self._lock:
@@ -203,23 +217,14 @@ class EdgeBroker:
                 receivers = self._receivers(pub.topic)
                 receivers.discard(session)
         if notice is not None:
-            session.conn.send(notice)
+            _send(session, notice)
             return False
+        for receiver in receivers:  # the fan-out goes before the PUBACK
+            _send(receiver, receiver.message(pub.topic, pub.payload, pub.qos,
+                                             retain=False))
         if pub.qos == 1:
-            session.conn.send(PubAck(pub.packet_id, Reason.SUCCESS))
-        for receiver in receivers:
-            self._deliver(receiver, pub.topic, pub.payload, pub.qos,
-                          retain=False)
+            return _send(session, PubAck(pub.packet_id, Reason.SUCCESS))
         return True
-
-    def _deliver(self, session: _Session, topic: str, payload: bytes,
-                 qos: int, retain: bool) -> None:
-        packet_id = session.next_packet_id() if qos == 1 else None
-        try:
-            session.conn.send(Publish(topic, payload, qos=qos,
-                                      packet_id=packet_id, retain=retain))
-        except ConnectionClosed:
-            pass  # its own thread will unregister it
 
     # -- relocation ---------------------------------------------------------
 
@@ -248,10 +253,7 @@ class EdgeBroker:
         logger.info("topic %r relocated to %s; notifying %d subscriber(s)",
                     topic, target or "unknown", len(affected))
         for session in affected:
-            try:
-                session.conn.send(notice)
-            except ConnectionClosed:
-                pass
+            _send(session, notice)
             session.conn.close()
 
     # -- admin channel ------------------------------------------------------
@@ -280,3 +282,19 @@ class EdgeBroker:
             return f"ERR {exc}"
         self.relocate_topic(topic, target)
         return "OK"
+
+
+def _send(session: _Session, packet: Packet) -> bool:
+    """Send with the deadline stream.SEND_TIMEOUT; False when the
+    session's connection is gone.  A session that missed the deadline is
+    logged as a slow consumer: its connection closed itself, and its own
+    thread unregisters it, as after any broken send."""
+    try:
+        session.conn.send(packet, timeout=stream.SEND_TIMEOUT)
+        return True
+    except SendTimedOut as exc:
+        logger.warning("slow consumer %r at %s disconnected: %s",
+                       session.client_id, session.conn.peer, exc)
+    except ConnectionClosed:
+        pass
+    return False

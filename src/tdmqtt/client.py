@@ -215,13 +215,14 @@ class SubscriberSession:
                     packet = conn.recv(timeout=self.keepalive)
                 except TimeoutError:
                     # quiet line: probe it before declaring the broker dead
-                    conn.send(PingReq())
+                    conn.send(PingReq(), timeout=self.timeout)
                     packet = conn.recv(timeout=self.timeout)
                 if packet is None:
                     raise ConnectionClosed("EOF")
                 if isinstance(packet, Publish):
                     if packet.qos == 1:
-                        conn.send(PubAck(packet.packet_id))
+                        conn.send(PubAck(packet.packet_id),
+                                  timeout=self.timeout)
                     if not delivered:
                         self._note("message", packet.topic)
                         self._left.clear()

@@ -17,6 +17,10 @@ class ConnectionClosed(TdmqttError):
     """The peer went away mid-conversation (reset, or EOF inside a packet)."""
 
 
+class SendTimedOut(ConnectionClosed):
+    """A send missed its deadline, so the connection was closed."""
+
+
 class BrokerUnreachable(TdmqttError):
     """An edge broker did not accept a connection or broke the handshake."""
 

@@ -34,6 +34,7 @@ from bisect import bisect_left, insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from . import stream
 from .errors import BrokerUnreachable
 from .packets import (
     BrokerRef,
@@ -90,6 +91,19 @@ class Topics(frozenset):
         self.version = version
         self.ordered = sorted(self)
         return self
+
+    def matched(self, topic_filter: str) -> set[str]:
+        """The topics the filter matches, as packets.matched_topics
+        finds them; those of 'stem/#' are the stem and the run of
+        `ordered` from 'stem/' to 'stem0', found by bisection."""
+        if topic_filter == "#" or not topic_filter.endswith("/#"):
+            return matched_topics(topic_filter, self)
+        stem, ordered = topic_filter[:-2], self.ordered
+        found = set(ordered[bisect_left(ordered, stem + "/"):
+                            bisect_left(ordered, stem + "0")])
+        if stem in self:
+            found.add(stem)
+        return found
 
     def replaced(self, matched: set[str], listed: set[str]) -> Topics:
         """These topics less `matched`, plus `listed`, untagged.  The
@@ -209,7 +223,7 @@ def topic_discovery(ref: BrokerRef, timeout: float, listen_window: float,
             return Topics(listed, version if complete else None)
         kept = installed if isinstance(installed, Topics) \
             else Topics(installed or ())
-        return kept.replaced(matched_topics(topic_filter, kept), listed)
+        return kept.replaced(kept.matched(topic_filter), listed)
 
 
 def _replay(conn: PacketConnection, ref: BrokerRef, timeout: float,
@@ -217,7 +231,7 @@ def _replay(conn: PacketConnection, ref: BrokerRef, timeout: float,
     """The census of topic_discovery, on a connection past CONNACK: the
     topics the broker replays for one subscription to topic_filter, and
     whether its PINGRESP came."""
-    conn.send(Subscribe(1, (topic_filter,)), PingReq())
+    conn.send(Subscribe(1, (topic_filter,)), PingReq(), timeout=timeout)
     suback = conn.recv(timeout=timeout)
     if not isinstance(suback, SubAck) or suback.reasons[0] != Reason.SUCCESS:
         raise BrokerUnreachable(f"{ref}: census subscription refused")
@@ -235,7 +249,7 @@ def _replay(conn: PacketConnection, ref: BrokerRef, timeout: float,
         if isinstance(packet, Publish):
             topics.add(packet.topic)
             if packet.qos == 1:
-                conn.send(PubAck(packet.packet_id))
+                conn.send(PubAck(packet.packet_id), timeout=timeout)
         elif isinstance(packet, PingResp):
             return topics, True
         elif isinstance(packet, Disconnect):
@@ -406,9 +420,11 @@ class MasterBroker:
         if isinstance(packet, Subscribe):
             reasons, accepted = validate_filters(packet.filters)
             conn.send(SubAck(packet.packet_id, reasons),
-                      self._redirect_for(client_id, accepted))
+                      self._redirect_for(client_id, accepted),
+                      timeout=stream.SEND_TIMEOUT)
         elif isinstance(packet, Publish):
-            conn.send(self._redirect_for(client_id, [packet.topic]))
+            conn.send(self._redirect_for(client_id, [packet.topic]),
+                      timeout=stream.SEND_TIMEOUT)
         return False
 
     def _redirect_for(self, client_id: str, filters: list[str]) -> Disconnect:

@@ -41,6 +41,7 @@ TYPE_DISCONNECT = 14
 PROP_SUBSCRIPTION_IDENTIFIER = 0x0B
 PROP_SERVER_REFERENCE = 0x1C
 PROP_USER_PROPERTY = 0x26
+PROP_MAXIMUM_PACKET_SIZE = 0x27
 
 # User Property name under which a CONNACK carries the topic-table version.
 TOPIC_TABLE_VERSION = "topic-table-version"
@@ -58,6 +59,7 @@ class Reason:
     NORMAL = 0x00
     SUCCESS = 0x00
     TOPIC_FILTER_NOT_ACCEPTED = 0x8F
+    PACKET_TOO_LARGE = 0x95
     USE_ANOTHER_SERVER = 0x9C
     SERVER_MOVED = 0x9D
 
@@ -73,6 +75,10 @@ class InvalidPacket(ValueError):
 
 class MalformedPacket(ValueError):
     """Bytes violate the wire format; the connection must be closed."""
+
+
+class PacketTooLarge(MalformedPacket):
+    """A packet is larger than its receiver accepts."""
 
 
 class IncompletePacket(Exception):
@@ -127,6 +133,8 @@ class ConnAck:
     # conflicting ones.  Left out of repr, so a plain CONNACK still reads
     # ConnAck(reason=0) in logs and in the test ids derived from reprs.
     topic_table_version: str | None = field(default=None, repr=False)
+    # The largest packet, in bytes, the sender accepts; None for no limit.
+    max_packet_size: int | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -392,9 +400,15 @@ def encode(packet: Packet) -> bytes:
     if isinstance(packet, ConnAck):
         reason = _check_reason(packet.reason)
         props = b""
+        if packet.max_packet_size is not None:
+            if not 0 < packet.max_packet_size <= 0xFFFFFFFF:
+                raise InvalidPacket(
+                    f"maximum packet size out of range: {packet.max_packet_size}")
+            props = (bytes([PROP_MAXIMUM_PACKET_SIZE])
+                     + struct.pack(">I", packet.max_packet_size))
         if packet.topic_table_version is not None:
-            props = (bytes([PROP_USER_PROPERTY]) + _pack_str(TOPIC_TABLE_VERSION)
-                     + _pack_str(packet.topic_table_version))
+            props += (bytes([PROP_USER_PROPERTY]) + _pack_str(TOPIC_TABLE_VERSION)
+                      + _pack_str(packet.topic_table_version))
         return _frame(TYPE_CONNACK, 0, bytes([0x00, reason])
                       + encode_varint(len(props)) + props)
 
@@ -650,8 +664,11 @@ def _decode_connack(data: bytes, pos: int, end: int, flags: int) -> ConnAck:
     reason, pos = _u8(data, pos, end)
     properties, pos = _read_properties(data, pos, end, TYPE_CONNACK)
     _expect_end(pos, end, "CONNACK")
+    if properties.get(PROP_MAXIMUM_PACKET_SIZE) == 0:
+        raise MalformedPacket("maximum packet size 0")
     return ConnAck(reason=reason,
-                   topic_table_version=properties.get(TOPIC_TABLE_VERSION))
+                   topic_table_version=properties.get(TOPIC_TABLE_VERSION),
+                   max_packet_size=properties.get(PROP_MAXIMUM_PACKET_SIZE))
 
 
 def _decode_publish(data: bytes, pos: int, end: int, flags: int) -> Publish:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import select
 import socket
 import threading
 import time
 from typing import Any, Callable, Iterator
 
-from .errors import ConnectionClosed
+from .errors import ConnectionClosed, SendTimedOut
 from .packets import (
     BrokerRef,
     ConnAck,
@@ -27,6 +28,7 @@ from .packets import (
     IncompletePacket,
     MalformedPacket,
     Packet,
+    PacketTooLarge,
     PingReq,
     PingResp,
     Reason,
@@ -38,7 +40,12 @@ logger = logging.getLogger(__name__)
 
 _CHUNK = 4096
 HANDSHAKE_TIMEOUT = 10.0
+# seconds a server gives one send to a peer; a peer that takes longer
+# is disconnected, so it costs the others at most this once
+SEND_TIMEOUT = 2.0
 MAX_PACKET_SIZE = 1 << 20  # bytes; a larger declared packet ends the connection
+# the CONNACK of a server that has nothing else to say in it
+ACCEPTED = ConnAck(Reason.SUCCESS, max_packet_size=MAX_PACKET_SIZE)
 _ACCEPT_PAUSE = 0.1  # seconds; after a failed accept() (EMFILE, say)
 _MAX_CONNECTIONS = 1024  # per Server; one more is closed at accept
 # how a peer fails a conversation (TimeoutError is an OSError)
@@ -46,13 +53,15 @@ PEER_FAILURES = (ConnectionClosed, MalformedPacket, OSError)
 
 
 class PacketConnection:
-    """One MQTT conversation over a TCP socket.
+    """One MQTT conversation over a TCP socket in blocking mode.
 
     recv() returns whole packets; send() writes its packets in one
-    sendall and is safe to call from multiple threads, and a thread
+    write and is safe to call from multiple threads, and a thread
     holding `send_lock` keeps others' packets out until it lets go.  A
     clean EOF on a packet boundary reads as None, an EOF in the middle
-    of a packet raises ConnectionClosed.
+    of a packet raises ConnectionClosed.  A timeout is per call: it is
+    waited out with poll(), never set on the socket, so a send never
+    inherits a recv's deadline.
     """
 
     connack: ConnAck | None = None  # the peer's CONNACK, once dial() read it
@@ -62,20 +71,60 @@ class PacketConnection:
         self._sock = sock
         self._buf = bytearray()
         self.send_lock = threading.RLock()
+        # one poller per direction: a reader and a sender may wait at once
+        self._readable = select.poll()
+        self._readable.register(sock, select.POLLIN)
+        self._writable = select.poll()
+        self._writable.register(sock, select.POLLOUT)
         try:
             self.peer = "%s:%d" % sock.getpeername()[:2]
         except OSError:
             self.peer = "?"
 
-    def send(self, packet: Packet, *more: Packet) -> None:
+    def send(self, packet: Packet, *more: Packet,
+             timeout: float | None = None) -> None:
+        """Write the packets, blocking until they are out.
+
+        `timeout` bounds the whole call, the wait for `send_lock`
+        included.  A send that misses it may have left a packet half
+        written, so the connection closes itself and raises
+        SendTimedOut, a ConnectionClosed like any broken send.
+        """
         data = encode(packet)
         if more:
             data += b"".join(map(encode, more))
-        with self.send_lock:
-            try:
-                self._sock.sendall(data)
-            except OSError as exc:
-                raise ConnectionClosed(f"send to {self.peer} failed: {exc}") from exc
+        if timeout is None:
+            with self.send_lock:
+                try:
+                    self._sock.sendall(data)
+                except OSError as exc:
+                    raise ConnectionClosed(
+                        f"send to {self.peer} failed: {exc}") from exc
+            return
+        deadline = time.monotonic() + timeout
+        if not self.send_lock.acquire(timeout=timeout):
+            raise self._missed(timeout)
+        try:
+            while True:
+                try:
+                    sent = self._sock.send(data, socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    sent = 0
+                except OSError as exc:
+                    raise ConnectionClosed(
+                        f"send to {self.peer} failed: {exc}") from exc
+                if sent == len(data):
+                    return
+                data = memoryview(data)[sent:]
+                if not _wait(self._writable, deadline):
+                    raise self._missed(timeout)
+        finally:
+            self.send_lock.release()
+
+    def _missed(self, timeout: float) -> SendTimedOut:
+        self.close()
+        return SendTimedOut(
+            f"send to {self.peer} missed its {timeout}s deadline")
 
     def recv(self, timeout: float | None = None) -> Packet | None:
         """Read one packet, or None on clean EOF.
@@ -83,7 +132,7 @@ class PacketConnection:
         `timeout` bounds the whole wait; expiry raises TimeoutError with
         any partial bytes kept for the next call.  A packet whose fixed
         header declares more than MAX_PACKET_SIZE bytes raises
-        MalformedPacket before its body is buffered; a smaller one is
+        PacketTooLarge before its body is buffered; a smaller one is
         asked for whole, so one that has arrived costs one more read.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -95,7 +144,7 @@ class PacketConnection:
                 except IncompletePacket as exc:
                     if exc.needed is not None:
                         if len(self._buf) + exc.needed > MAX_PACKET_SIZE:
-                            raise MalformedPacket(
+                            raise PacketTooLarge(
                                 f"{self.peer} declared a packet of "
                                 f"{len(self._buf) + exc.needed} bytes, over "
                                 f"{MAX_PACKET_SIZE}") from None
@@ -103,17 +152,15 @@ class PacketConnection:
                 else:
                     del self._buf[:used]
                     return packet
-            if deadline is None:
-                self._sock.settimeout(None)
-            else:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(f"no packet from {self.peer} in {timeout}s")
-                self._sock.settimeout(remaining)
+            if deadline is not None and not _wait(self._readable, deadline):
+                raise TimeoutError(f"no packet from {self.peer} in {timeout}s")
             try:
-                chunk = self._sock.recv(want)
-            except socket.timeout:
-                raise TimeoutError(f"no packet from {self.peer} in {timeout}s") from None
+                if deadline is None:
+                    chunk = self._sock.recv(want)
+                else:
+                    chunk = self._sock.recv(want, socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                continue
             except OSError as exc:
                 raise ConnectionClosed(f"recv from {self.peer} failed: {exc}") from exc
             if not chunk:
@@ -128,6 +175,13 @@ class PacketConnection:
         except OSError:
             pass
         self._sock.close()
+
+
+def _wait(poller: select.poll, deadline: float) -> bool:
+    """Wait for the poller's one socket until the monotonic deadline;
+    False when it passed first."""
+    remaining = deadline - time.monotonic()
+    return remaining > 0 and bool(poller.poll(remaining * 1000))
 
 
 def open_connection(host: str, port: int, timeout: float) -> PacketConnection:
@@ -152,7 +206,8 @@ def dial(ref: BrokerRef, client_id: str, timeout: float,
     conn = None
     try:
         conn = open_connection(ref.host, ref.port, timeout)
-        conn.send(Connect(client_id, keep_alive=keep_alive), *requests)
+        conn.send(Connect(client_id, keep_alive=keep_alive), *requests,
+                  timeout=timeout)
         ack = conn.recv(timeout=timeout)
     except PEER_FAILURES as exc:
         if conn is not None:
@@ -178,7 +233,7 @@ def exchange(ref: BrokerRef, client_id: str, timeout: float,
     try:
         yield conn
         with contextlib.suppress(ConnectionClosed):
-            conn.send(Disconnect(Reason.NORMAL))
+            conn.send(Disconnect(Reason.NORMAL), timeout=timeout)
     except PEER_FAILURES as exc:
         raise unreachable(f"{ref}: {exc}") from exc
     finally:
@@ -189,7 +244,7 @@ def serve_mqtt(sock: socket.socket,
                attach: Callable[[PacketConnection, Connect], Any],
                handle: Callable[[Any, Packet], bool],
                detach: Callable[[Any], None] | None = None,
-               connack: Callable[[], ConnAck] = ConnAck) -> None:
+               connack: Callable[[], ConnAck] = lambda: ACCEPTED) -> None:
     """Run one MQTT conversation on an accepted socket.
 
     Waits HANDSHAKE_TIMEOUT for the CONNECT, then calls
@@ -198,7 +253,10 @@ def serve_mqtt(sock: socket.socket,
     and `detach`.  PINGREQ is answered here; every other packet goes to
     `handle(session, packet)`.  The conversation ends on DISCONNECT,
     EOF, a broken connection, or when `handle` returns False;
-    `detach(session)` then runs if `attach` did.
+    `detach(session)` then runs if `attach` did.  A packet over
+    MAX_PACKET_SIZE, which `connack()` should advertise as ACCEPTED
+    does, is answered with reason 0x95 before the hang-up.  Every send
+    here has SEND_TIMEOUT.
     """
     conn = PacketConnection(sock)
     session = None
@@ -207,17 +265,23 @@ def serve_mqtt(sock: socket.socket,
         if not isinstance(first, Connect):
             return
         session = attach(conn, first)
-        conn.send(connack())
+        conn.send(connack(), timeout=SEND_TIMEOUT)
         while True:
             packet = conn.recv()
             if packet is None or isinstance(packet, Disconnect):
                 return
             if isinstance(packet, PingReq):
-                conn.send(PingResp())
+                conn.send(PingResp(), timeout=SEND_TIMEOUT)
             elif not handle(session, packet):
                 logger.debug("closing %s after %s", conn.peer,
                              type(packet).__name__)
                 return
+    except PacketTooLarge as exc:
+        logger.info("closing %s: %s", conn.peer, exc)
+        # MQTT 5 sends no DISCONNECT before the CONNACK
+        refusal = ConnAck if session is None else Disconnect
+        with contextlib.suppress(ConnectionClosed):
+            conn.send(refusal(Reason.PACKET_TOO_LARGE), timeout=SEND_TIMEOUT)
     except PEER_FAILURES as exc:
         logger.debug("connection %s ended: %s", conn.peer, exc)
     finally:

@@ -201,8 +201,9 @@ def test_c05_broker_death_recovery(make_master):
 
 @criterion(6, "relocation: unknown target via master, known target direct, 10/10")
 def test_c06_relocation_paths(make_fleet, make_master):
-    # unknown target: the subscriber must fall back to the master, which
-    # picks up the new home on its periodic census
+    # unknown target: the subscriber must fall back to the master; its
+    # re-ask makes the master census the old home again (the bounce
+    # census), find the topic gone and sweep the fleet for its new home
     for trial in range(10):
         brokers, port = make_fleet(2, admin=True)
         b1, b2 = brokers

@@ -1,5 +1,6 @@
 """Edge broker behaviour over real sockets."""
 
+import contextlib
 import socket
 import sys
 import threading
@@ -7,14 +8,16 @@ import time
 
 import pytest
 
+import helpers
 from helpers import admin_command, connect, drain, subscribe, wait_until
-from tdmqtt import broker as broker_module
+from tdmqtt import broker as broker_module, stream
 from tdmqtt.broker import EdgeBroker
 from tdmqtt.client import publish
 from tdmqtt.errors import BrokerUnreachable, ConnectionClosed, Redirected
 from tdmqtt.master import topic_discovery
 from tdmqtt.packets import (
     BrokerRef,
+    ConnAck,
     Connect,
     Disconnect,
     PingReq,
@@ -26,7 +29,7 @@ from tdmqtt.packets import (
     Subscribe,
     encode_varint,
 )
-from tdmqtt.stream import open_connection
+from tdmqtt.stream import MAX_PACKET_SIZE, PacketConnection, dial, open_connection
 
 
 def test_publish_reaches_matching_subscriber(broker):
@@ -285,6 +288,7 @@ def test_an_oversized_packet_ends_its_connection_before_it_is_buffered(
     declared = encode_varint(200 * 1024 * 1024)
     greedy._sock.sendall(bytes([0x30]) + declared + bytes(8192))
     try:
+        assert greedy.recv(timeout=2) == Disconnect(Reason.PACKET_TOO_LARGE)
         assert greedy.recv(timeout=2) is None  # the broker hung up
     except ConnectionClosed:
         pass  # or reset the connection with our bytes still unread
@@ -447,6 +451,103 @@ def test_admin_rejects_malformed_commands(make_broker, line, fragment):
     reply = admin_command(broker.admin_address, line)
     assert reply.startswith("ERR") and fragment in reply
     assert not broker._relocations
+
+
+def test_every_connack_advertises_the_maximum_packet_size(make_fleet,
+                                                          make_master):
+    (broker,), port = make_fleet(1)
+    master = make_master(["127.0.0.1"], port)
+    for ref in (broker.address, master.address):
+        conn = dial(ref, "", 2.0, ConnectionError)
+        conn.close()
+        assert conn.connack.max_packet_size == MAX_PACKET_SIZE
+
+
+# -- slow consumers ----------------------------------------------------------
+
+DEADLINE = 0.5  # stream.SEND_TIMEOUT in these tests
+SLACK = 1.0  # for the thread switches around one missed deadline
+BODY = bytes(32 * 1024)
+
+
+@pytest.fixture
+def stuck_beside_healthy(make_broker, monkeypatch):
+    """A broker whose sends have DEADLINE, with two subscribers on `t`:
+    one whose 4 KiB receive buffer is never read, and one whose
+    deliveries a thread collects.  Yields (broker, the collected
+    payloads, a publisher)."""
+    monkeypatch.setattr(stream, "SEND_TIMEOUT", DEADLINE)
+    broker = make_broker(admin=True)
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.connect((broker.address.host, broker.address.port))
+    stuck = PacketConnection(sock)
+    helpers.opened.append(stuck)
+    stuck.send(Connect("stuck"))
+    assert isinstance(stuck.recv(timeout=2), ConnAck)
+    subscribe(stuck, "t")
+    healthy = connect(broker.address, "healthy")
+    subscribe(healthy, "t")
+    got = []
+
+    def collect():
+        with contextlib.suppress(ConnectionClosed):
+            while (packet := healthy.recv()) is not None:
+                if isinstance(packet, Publish):
+                    got.append(packet.payload)
+
+    collector = threading.Thread(target=collect)
+    collector.start()
+    try:
+        yield broker, got, connect(broker.address, "pub")
+    finally:
+        healthy.close()
+        collector.join(timeout=5)
+
+
+def publish_until_stalled(pub, first_wait: float) -> tuple[int, list[float]]:
+    """QoS 1 publishes of 32 KiB on `t` until a PUBACK takes longer than
+    `first_wait`; returns how many went out and each PUBACK's wait."""
+    waits = []
+    for seq in range(1024):  # 32 MiB, far past any socket buffer
+        started = time.monotonic()
+        pub.send(Publish("t", seq.to_bytes(4, "big") + BODY, qos=1,
+                         packet_id=seq + 1))
+        try:
+            ack = pub.recv(timeout=first_wait)
+        except TimeoutError:
+            return seq + 1, waits
+        waits.append(time.monotonic() - started)
+        assert ack == PubAck(seq + 1)
+    raise AssertionError("the broker never stalled on the stuck subscriber")
+
+
+def test_a_stuck_subscriber_costs_a_publisher_one_deadline(
+        stuck_beside_healthy, caplog):
+    broker, got, pub = stuck_beside_healthy
+    sent, waits = publish_until_stalled(pub, DEADLINE / 4)
+    started = time.monotonic()
+    assert pub.recv(timeout=DEADLINE + SLACK) == PubAck(sent)
+    waits.append(time.monotonic() - started + DEADLINE / 4)
+    assert any("slow consumer 'stuck'" in r.getMessage() for r in caplog.records)
+    for seq in range(sent, sent + 8):  # the topic flows again
+        started = time.monotonic()
+        pub.send(Publish("t", seq.to_bytes(4, "big") + BODY, qos=1,
+                         packet_id=seq + 1))
+        assert pub.recv(timeout=DEADLINE + SLACK) == PubAck(seq + 1)
+        waits.append(time.monotonic() - started)
+    assert max(waits) <= DEADLINE + SLACK
+    wait_until(lambda: len(got) == sent + 8)
+    assert [int.from_bytes(p[:4], "big") for p in got] == list(range(sent + 8))
+
+
+def test_a_relocate_waits_at_most_one_deadline_for_a_stuck_subscriber(
+        stuck_beside_healthy):
+    broker, _, pub = stuck_beside_healthy
+    publish_until_stalled(pub, DEADLINE / 4)  # a broker thread is stuck now
+    started = time.monotonic()
+    assert admin_command(broker.admin_address, "RELOCATE t") == "OK"
+    assert time.monotonic() - started <= DEADLINE + SLACK
 
 
 def test_stop_ends_every_connection():

@@ -357,6 +357,19 @@ def test_a_filtered_census_merge_equals_a_fresh_build(listed):
     assert installed.ordered == sorted(installed)  # left as it was
 
 
+# '.' and '0' sort either side of '/', where a 'stem/#' run starts and ends
+edge_topic_st = st.lists(st.text(alphabet="a.0", max_size=2), min_size=1,
+                         max_size=3).map("/".join)
+
+
+@settings(max_examples=300)
+@given(st.frozensets(st.one_of(name_st, edge_topic_st), max_size=12),
+       st.one_of(filter_st, edge_topic_st, edge_topic_st.map("{}/#".format)))
+@example(frozenset({"a", "a/b", "a.b", "a0", "a/"}), "a/#")
+def test_topics_matched_agrees_with_matched_topics(topics, filt):
+    assert Topics(topics).matched(filt) == matched_topics(filt, topics)
+
+
 # --- registry ---------------------------------------------------------------
 
 def test_registry_find_prefers_lowest_address():

@@ -171,6 +171,27 @@ def test_a_connack_carries_the_topic_table_version():
     assert decode(wire) == (packet, len(wire))
 
 
+def test_a_connack_carries_the_maximum_packet_size():
+    packet = ConnAck(Reason.SUCCESS, topic_table_version="v1",
+                     max_packet_size=1 << 20)
+    wire = connack_with(hx("27 00100000") + VERSION_PAIR)
+    assert encode(packet) == wire
+    assert decode(wire) == (packet, len(wire))
+    assert decode(wire)[0].max_packet_size == 1 << 20
+    assert repr(packet) == "ConnAck(reason=0)"
+
+
+@pytest.mark.parametrize("size", [0, 1 << 32])
+def test_a_maximum_packet_size_out_of_range_is_not_encoded(size):
+    with pytest.raises(InvalidPacket):
+        encode(ConnAck(Reason.SUCCESS, max_packet_size=size))
+
+
+def test_a_maximum_packet_size_of_zero_is_malformed():  # MQTT 5 3.2.2.3.6
+    with pytest.raises(MalformedPacket):
+        decode(connack_with(hx("27 00000000")))
+
+
 def test_a_connack_without_a_version_keeps_its_bytes():
     assert encode(ConnAck(Reason.SUCCESS)) == hx("20 03 00 00 00")
 

@@ -15,6 +15,7 @@ import pytest
 from helpers import connect, wait_until
 from tdmqtt import stream
 from tdmqtt.broker import EdgeBroker
+from tdmqtt.errors import ConnectionClosed, SendTimedOut
 from tdmqtt.packets import BrokerRef, MalformedPacket, Publish, encode, encode_varint
 from tdmqtt.stream import MAX_PACKET_SIZE, PacketConnection, dial, exchange
 
@@ -65,9 +66,9 @@ class CountingSocket:
         self._sock = sock
         self.recvs = 0
 
-    def recv(self, size: int) -> bytes:
+    def recv(self, size: int, flags: int = 0) -> bytes:
         self.recvs += 1
-        return self._sock.recv(size)
+        return self._sock.recv(size, flags)
 
     def __getattr__(self, name):
         return getattr(self._sock, name)
@@ -96,6 +97,91 @@ def test_the_fixed_header_decides_whether_a_packet_fits(tcp_pair, total,
     sender.sendall(header + bytes(100))
     with pytest.raises(MalformedPacket if refused else TimeoutError):
         conn.recv(timeout=0.2)
+
+
+def read_after(sock: socket.socket, pause: float, size: int) -> threading.Thread:
+    """A thread that sleeps `pause`, then reads `size` bytes from sock."""
+
+    def read():
+        time.sleep(pause)
+        left = size
+        while left > 0:
+            chunk = sock.recv(min(left, 1 << 16))
+            if not chunk:
+                return
+            left -= len(chunk)
+
+    reader = threading.Thread(target=read)
+    reader.start()
+    return reader
+
+
+# far more than the loopback socket buffers hold, so a send of it blocks
+# until the peer reads
+FILL = Publish("big/one", bytes(4 << 20))
+
+
+def test_a_send_after_a_recv_timed_out_keeps_no_deadline(tcp_pair):
+    peer, conn = tcp_pair
+    with pytest.raises(TimeoutError):
+        conn.recv(timeout=0.2)
+    reader = read_after(peer, 0.5, len(encode(FILL)))
+    started = time.monotonic()
+    try:
+        conn.send(FILL)
+    finally:
+        reader.join(timeout=10)
+    assert time.monotonic() - started > 0.4  # blocked on the reader
+
+
+def test_a_send_that_misses_its_deadline_closes_the_connection(tcp_pair):
+    peer, conn = tcp_pair
+    started = time.monotonic()
+    with pytest.raises(SendTimedOut):
+        conn.send(FILL, timeout=0.2)
+    assert 0.2 <= time.monotonic() - started < 1.5
+    peer.settimeout(2)
+    while peer.recv(1 << 16):  # what got through, then the hang-up
+        pass
+    with pytest.raises(ConnectionClosed):
+        conn.send(Publish("after", b""), timeout=0.2)
+
+
+def test_a_send_deadline_covers_the_wait_for_the_send_lock(tcp_pair):
+    peer, conn = tcp_pair
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with conn.send_lock:
+            held.set()
+            release.wait(5)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        held.wait(5)
+        started = time.monotonic()
+        with pytest.raises(SendTimedOut):
+            conn.send(Publish("t", b"x"), timeout=0.2)
+        assert 0.2 <= time.monotonic() - started < 1.5
+    finally:
+        release.set()
+        holder.join(timeout=5)
+
+
+def test_a_send_with_a_deadline_writes_what_a_blocking_one_does(tcp_pair):
+    peer, conn = tcp_pair
+    wire = encode(FILL)
+    reader = read_after(peer, 0.1, len(wire))
+    try:
+        conn.send(FILL, timeout=5)  # waits on the reader, within its deadline
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    conn.send(Publish("small", b"1"), Publish("small", b"2"), timeout=1)
+    peer.settimeout(2)
+    assert peer.recv(64) == encode(Publish("small", b"1")) \
+        + encode(Publish("small", b"2"))
 
 
 FD_LIMIT = 40  # the child's soft RLIMIT_NOFILE
