@@ -167,6 +167,14 @@ class PacketConnection:
                 if self._buf:
                     raise ConnectionClosed(f"{self.peer} closed mid-packet")
                 return None
+            if not self._buf:  # decode in place; only a remainder is kept
+                try:
+                    packet, used = decode(chunk)
+                except IncompletePacket:
+                    pass
+                else:
+                    self._buf += chunk[used:]
+                    return packet
             self._buf += chunk
 
     def close(self) -> None:
