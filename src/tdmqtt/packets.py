@@ -158,7 +158,7 @@ class SubAck:
         object.__setattr__(self, "reasons", tuple(self.reasons))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Publish:
     topic: str
     payload: bytes = b""
@@ -166,9 +166,16 @@ class Publish:
     packet_id: int | None = None
     retain: bool = False
 
-    def __post_init__(self):
-        if type(self.payload) is not bytes:
-            object.__setattr__(self, "payload", bytes(self.payload))
+    def __init__(self, topic: str, payload: bytes = b"", qos: int = 0,
+                 packet_id: int | None = None, retain: bool = False):
+        # A QoS 1 delivery builds four of these on its way (sender,
+        # broker decode, fan-out, receiver decode): the fields go in by
+        # one call, not by one frozen setattr each.
+        if type(payload) is not bytes:
+            payload = bytes(payload)
+        object.__setattr__(self, "__dict__", {
+            "topic": topic, "payload": payload, "qos": qos,
+            "packet_id": packet_id, "retain": retain})
 
 
 @dataclass(frozen=True)
