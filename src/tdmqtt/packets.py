@@ -13,7 +13,8 @@ property block is one 0x00 byte and is skipped by one test; any other
 is read by one rule: each id's value by the reader its table entry
 names, an id MQTT 5 does not allow on the packet type is malformed, and
 so is a repeated id unless MQTT 5 allows repeats of it.  encode() builds
-PUBLISH and PUBACK, the data-plane packets, in one expression each.
+the data-plane packets directly: PUBACK in one struct.pack, PUBLISH in
+one join whose fixed header skips the varint loop below 128 bytes.
 Byte layout follows the OASIS MQTT 5 wire format.  Everything here is
 pure and reentrant; packet values are immutable.
 """
@@ -369,20 +370,22 @@ def encode(packet: Packet) -> bytes:
             topic = _pack_str(validate_topic(packet.topic))
         except MalformedFilter as exc:
             raise InvalidPacket(str(exc)) from exc
+        # no properties: the block is one 0x00 byte
         if packet.qos == 0:
             if packet.packet_id is not None:
                 raise InvalidPacket("QoS 0 publish must not carry a packet id")
-            packet_id = b""
+            tail = b"\x00"
         elif packet.packet_id is None:
             raise InvalidPacket("QoS 1 publish needs a packet id")
         else:
-            packet_id = struct.pack(">H", _check_packet_id(packet.packet_id))
+            tail = struct.pack(">HB", _check_packet_id(packet.packet_id), 0)
         payload = packet.payload
-        flags = (packet.qos << 1) | (1 if packet.retain else 0)
-        # no properties: the block is one 0x00 byte
-        return b"".join((bytes(((TYPE_PUBLISH << 4) | flags,)),
-                         encode_varint(len(topic) + len(packet_id) + 1 + len(payload)),
-                         topic, packet_id, b"\x00", payload))
+        first = TYPE_PUBLISH << 4 | packet.qos << 1 | (1 if packet.retain else 0)
+        remaining = len(topic) + len(tail) + len(payload)
+        # a one-byte remaining length, the small publish's, needs no varint loop
+        head = (bytes((first, remaining)) if remaining < 0x80
+                else bytes((first,)) + encode_varint(remaining))
+        return b"".join((head, topic, tail, payload))
 
     if isinstance(packet, PubAck):
         # remaining length 4: packet id, reason code, empty property block

@@ -155,10 +155,8 @@ class PacketConnection:
             if deadline is not None and not _wait(self._readable, deadline):
                 raise TimeoutError(f"no packet from {self.peer} in {timeout}s")
             try:
-                if deadline is None:
-                    chunk = self._sock.recv(want)
-                else:
-                    chunk = self._sock.recv(want, socket.MSG_DONTWAIT)
+                chunk = self._sock.recv(
+                    want, 0 if deadline is None else socket.MSG_DONTWAIT)
             except BlockingIOError:
                 continue
             except OSError as exc:

@@ -88,6 +88,15 @@ def test_varint_encoding(value, wire):
     assert encode_varint(value) == wire
 
 
+@pytest.mark.parametrize("remaining", [126, 127, 128, 129])
+def test_a_publish_header_carries_its_remaining_length(remaining):
+    # topic 't' is 3 bytes with its length; the property block is 1
+    payload = bytes(remaining - 4)
+    wire = hx("30") + encode_varint(remaining) + hx("0001 74 00") + payload
+    assert encode(Publish("t", payload)) == wire
+    assert decode(wire) == (Publish("t", payload), len(wire))
+
+
 def test_varint_range_check():
     with pytest.raises(InvalidPacket):
         encode_varint(-1)
