@@ -23,9 +23,10 @@ version knows the topic set without replaying it.  It also advertises
 MAX_PACKET_SIZE.
 
 Every send to a client has the deadline stream.SEND_TIMEOUT.  A session
-that misses it is disconnected as a slow consumer, so a subscriber that
-stops reading costs a publisher, or a relocation, at most one deadline.
-A QoS 1 publish is acknowledged after its fan-out.
+that misses it while being written to is disconnected as a slow
+consumer, so a subscriber that stops reading costs a publisher, or a
+relocation, one deadline, once.  A QoS 1 publish is acknowledged after
+its fan-out.
 """
 
 from __future__ import annotations
@@ -285,16 +286,17 @@ class EdgeBroker:
 
 
 def _send(session: _Session, packet: Packet) -> bool:
-    """Send with the deadline stream.SEND_TIMEOUT; False when the
-    session's connection is gone.  A session that missed the deadline is
-    logged as a slow consumer: its connection closed itself, and its own
-    thread unregisters it, as after any broken send."""
+    """Send with the deadline stream.SEND_TIMEOUT; False when the packet
+    did not go out.  A missed deadline is logged as a slow consumer: a
+    send that ran out of time writing closed the connection, one that
+    ran out waiting for another send to the same session left the close
+    to that send.  The session's own thread unregisters it, as after any
+    broken send."""
     try:
         session.conn.send(packet, timeout=stream.SEND_TIMEOUT)
         return True
     except SendTimedOut as exc:
-        logger.warning("slow consumer %r at %s disconnected: %s",
-                       session.client_id, session.conn.peer, exc)
+        logger.warning("slow consumer %r: %s", session.client_id, exc)
     except ConnectionClosed:
         pass
     return False

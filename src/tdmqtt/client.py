@@ -54,6 +54,10 @@ BACKOFF_FIRST = 0.5
 BACKOFF_CAP = 8.0
 QUICK_BOUNCE_S = 1.0  # attachments shorter than this look like a stale redirect
 RESOLVE_ROUNDS = 3     # master answers tried before a dead target is final
+# seconds a client waits for each answer by default; stream.SEND_TIMEOUT
+# must stay below it, or a publisher behind a stuck subscriber gives up
+# on a PUBACK that is on its way
+TIMEOUT = 2.0
 
 
 def _fresh_id(kind: str) -> str:
@@ -83,7 +87,7 @@ class SubscriberSession:
 
     def __init__(self, master: BrokerRef, topic_filter: str,
                  on_message: Callable[[Publish], None], *,
-                 keepalive: float = 10.0, timeout: float = 2.0):
+                 keepalive: float = 10.0, timeout: float = TIMEOUT):
         self.master = master
         self.topic_filter = topic_filter
         self.on_message = on_message
@@ -320,7 +324,7 @@ def _pump_sessions(session: SubscriberSession, conn: PacketConnection) -> None:
 def transparent_subscribe(master: BrokerRef, topic_filter: str,
                           on_message: Callable[[Publish], None], *,
                           keepalive: float = 10.0,
-                          timeout: float = 2.0) -> SubscriberSession:
+                          timeout: float = TIMEOUT) -> SubscriberSession:
     """Subscribe knowing only the master and the topic filter; blocks
     as SubscriberSession.open() does."""
     return SubscriberSession(master, topic_filter, on_message,
@@ -328,7 +332,7 @@ def transparent_subscribe(master: BrokerRef, topic_filter: str,
 
 
 def publish(broker: BrokerRef, topic: str, payload: bytes, *, qos: int = 0,
-            timeout: float = 2.0) -> None:
+            timeout: float = TIMEOUT) -> None:
     """One-shot publish straight to a broker.
 
     Raises Redirected when the broker reports the topic has moved, and
@@ -354,7 +358,7 @@ def publish(broker: BrokerRef, topic: str, payload: bytes, *, qos: int = 0,
 
 
 def transparent_publish(master: BrokerRef, topic: str, payload: bytes, *,
-                        qos: int = 0, timeout: float = 2.0) -> BrokerRef:
+                        qos: int = 0, timeout: float = TIMEOUT) -> BrokerRef:
     """Publish knowing only the master: ask it, then publish where it says.
 
     The master is asked for the topic alone, with the SUBSCRIBE a

@@ -18,7 +18,9 @@ class ConnectionClosed(TdmqttError):
 
 
 class SendTimedOut(ConnectionClosed):
-    """A send missed its deadline, so the connection was closed."""
+    """A send missed its deadline.  One that ran out while writing closed
+    the connection; one that ran out waiting for another send wrote
+    nothing and left the connection open."""
 
 
 class BrokerUnreachable(TdmqttError):

@@ -13,8 +13,7 @@ property block is one 0x00 byte and is skipped by one test; any other
 is read by one rule: each id's value by the reader its table entry
 names, an id MQTT 5 does not allow on the packet type is malformed, and
 so is a repeated id unless MQTT 5 allows repeats of it.  encode() builds
-the data-plane packets directly: PUBACK in one struct.pack, PUBLISH in
-one join whose fixed header skips the varint loop below 128 bytes.
+PUBLISH and PUBACK, the data-plane packets, in one expression each.
 Byte layout follows the OASIS MQTT 5 wire format.  Everything here is
 pure and reentrant; packet values are immutable.
 """
@@ -320,6 +319,8 @@ def matched_topics(filt: str, topics: Collection[str]) -> set[str]:
 # ---------------------------------------------------------------------------
 
 def encode_varint(value: int) -> bytes:
+    if 0 <= value < 0x80:  # one byte: most packets' remaining length
+        return bytes((value,))
     if not 0 <= value <= MAX_REMAINING_LENGTH:
         raise InvalidPacket(f"variable-byte integer out of range: {value}")
     out = bytearray()
@@ -381,11 +382,9 @@ def encode(packet: Packet) -> bytes:
             tail = struct.pack(">HB", _check_packet_id(packet.packet_id), 0)
         payload = packet.payload
         first = TYPE_PUBLISH << 4 | packet.qos << 1 | (1 if packet.retain else 0)
-        remaining = len(topic) + len(tail) + len(payload)
-        # a one-byte remaining length, the small publish's, needs no varint loop
-        head = (bytes((first, remaining)) if remaining < 0x80
-                else bytes((first,)) + encode_varint(remaining))
-        return b"".join((head, topic, tail, payload))
+        return b"".join((bytes((first,)),
+                         encode_varint(len(topic) + len(tail) + len(payload)),
+                         topic, tail, payload))
 
     if isinstance(packet, PubAck):
         # remaining length 4: packet id, reason code, empty property block

@@ -40,9 +40,12 @@ logger = logging.getLogger(__name__)
 
 _CHUNK = 4096
 HANDSHAKE_TIMEOUT = 10.0
-# seconds a server gives one send to a peer; a peer that takes longer
-# is disconnected, so it costs the others at most this once
-SEND_TIMEOUT = 2.0
+# Seconds a server gives one send to a peer; a peer that takes longer
+# is disconnected, so it costs the others at most this once.  It must
+# stay below the clients' default timeout (client.TIMEOUT): the broker
+# acknowledges a QoS 1 publish after its fan-out, so a publisher waits
+# for its PUBACK up to this long behind one stuck subscriber.
+SEND_TIMEOUT = 1.0
 MAX_PACKET_SIZE = 1 << 20  # bytes; a larger declared packet ends the connection
 # the CONNACK of a server that has nothing else to say in it
 ACCEPTED = ConnAck(Reason.SUCCESS, max_packet_size=MAX_PACKET_SIZE)
@@ -86,24 +89,20 @@ class PacketConnection:
         """Write the packets, blocking until they are out.
 
         `timeout` bounds the whole call, the wait for `send_lock`
-        included.  A send that misses it may have left a packet half
-        written, so the connection closes itself and raises
-        SendTimedOut, a ConnectionClosed like any broken send.
+        included.  A send that runs out of time waiting for the lock has
+        written nothing: it raises SendTimedOut and leaves the connection
+        to the thread holding the lock.  One that runs out while writing
+        may have left a packet half written, so the connection closes
+        itself and raises SendTimedOut, a ConnectionClosed like any
+        broken send.
         """
         data = encode(packet)
         if more:
             data += b"".join(map(encode, more))
-        if timeout is None:
-            with self.send_lock:
-                try:
-                    self._sock.sendall(data)
-                except OSError as exc:
-                    raise ConnectionClosed(
-                        f"send to {self.peer} failed: {exc}") from exc
-            return
-        deadline = time.monotonic() + timeout
-        if not self.send_lock.acquire(timeout=timeout):
-            raise self._missed(timeout)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if not self.send_lock.acquire(timeout=-1 if timeout is None else timeout):
+            raise SendTimedOut(
+                f"send to {self.peer} waited {timeout}s for another send")
         try:
             while True:
                 try:
@@ -117,14 +116,11 @@ class PacketConnection:
                     return
                 data = memoryview(data)[sent:]
                 if not _wait(self._writable, deadline):
-                    raise self._missed(timeout)
+                    self.close()
+                    raise SendTimedOut(
+                        f"send to {self.peer} missed its {timeout}s deadline")
         finally:
             self.send_lock.release()
-
-    def _missed(self, timeout: float) -> SendTimedOut:
-        self.close()
-        return SendTimedOut(
-            f"send to {self.peer} missed its {timeout}s deadline")
 
     def recv(self, timeout: float | None = None) -> Packet | None:
         """Read one packet, or None on clean EOF.
@@ -183,9 +179,12 @@ class PacketConnection:
         self._sock.close()
 
 
-def _wait(poller: select.poll, deadline: float) -> bool:
-    """Wait for the poller's one socket until the monotonic deadline;
-    False when it passed first."""
+def _wait(poller: select.poll, deadline: float | None) -> bool:
+    """Wait for the poller's one socket until the monotonic deadline, or
+    for as long as it takes without one; False when the deadline passed
+    first."""
+    if deadline is None:
+        return bool(poller.poll())
     remaining = deadline - time.monotonic()
     return remaining > 0 and bool(poller.poll(remaining * 1000))
 

@@ -10,7 +10,7 @@ import pytest
 
 import helpers
 from helpers import admin_command, connect, drain, subscribe, wait_until
-from tdmqtt import broker as broker_module, stream
+from tdmqtt import broker as broker_module, client, stream
 from tdmqtt.broker import EdgeBroker
 from tdmqtt.client import publish
 from tdmqtt.errors import BrokerUnreachable, ConnectionClosed, Redirected
@@ -465,18 +465,22 @@ def test_every_connack_advertises_the_maximum_packet_size(make_fleet,
 
 # -- slow consumers ----------------------------------------------------------
 
-DEADLINE = 0.5  # stream.SEND_TIMEOUT in these tests
+DEADLINE = 0.5  # stream.SEND_TIMEOUT where a test asks for short_deadline
 SLACK = 1.0  # for the thread switches around one missed deadline
+STALL = 0.05  # a PUBACK later than this means the broker waits on `stuck`
 BODY = bytes(32 * 1024)
 
 
 @pytest.fixture
-def stuck_beside_healthy(make_broker, monkeypatch):
-    """A broker whose sends have DEADLINE, with two subscribers on `t`:
-    one whose 4 KiB receive buffer is never read, and one whose
-    deliveries a thread collects.  Yields (broker, the collected
-    payloads, a publisher)."""
+def short_deadline(monkeypatch):
     monkeypatch.setattr(stream, "SEND_TIMEOUT", DEADLINE)
+
+
+@pytest.fixture
+def stuck_beside_healthy(make_broker):
+    """A broker with two subscribers on `t`: one whose 4 KiB receive
+    buffer is never read, and one whose deliveries a thread collects.
+    Yields (broker, the collected payloads, a publisher)."""
     broker = make_broker(admin=True)
     sock = socket.socket()
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
@@ -523,7 +527,7 @@ def publish_until_stalled(pub, first_wait: float) -> tuple[int, list[float]]:
 
 
 def test_a_stuck_subscriber_costs_a_publisher_one_deadline(
-        stuck_beside_healthy, caplog):
+        short_deadline, stuck_beside_healthy, caplog):
     broker, got, pub = stuck_beside_healthy
     sent, waits = publish_until_stalled(pub, DEADLINE / 4)
     started = time.monotonic()
@@ -542,12 +546,36 @@ def test_a_stuck_subscriber_costs_a_publisher_one_deadline(
 
 
 def test_a_relocate_waits_at_most_one_deadline_for_a_stuck_subscriber(
-        stuck_beside_healthy):
+        short_deadline, stuck_beside_healthy):
     broker, _, pub = stuck_beside_healthy
     publish_until_stalled(pub, DEADLINE / 4)  # a broker thread is stuck now
     started = time.monotonic()
     assert admin_command(broker.admin_address, "RELOCATE t") == "OK"
     assert time.monotonic() - started <= DEADLINE + SLACK
+
+
+# The next two keep the library's own SEND_TIMEOUT and client timeout.
+
+def test_a_puback_behind_a_stuck_subscriber_beats_the_client_timeout(
+        stuck_beside_healthy):
+    broker, _, pub = stuck_beside_healthy
+    sent, _ = publish_until_stalled(pub, STALL)
+    stalled = time.monotonic()
+    assert pub.recv(timeout=client.TIMEOUT) == PubAck(sent)
+    # at least the time from the stalled PUBLISH to its PUBACK
+    assert time.monotonic() - stalled + STALL < client.TIMEOUT
+
+
+def test_a_default_publish_beside_a_stuck_subscriber_goes_through_once(
+        stuck_beside_healthy):
+    broker, got, pub = stuck_beside_healthy
+    sent, _ = publish_until_stalled(pub, STALL)  # a broker thread waits now
+    publish(broker.address, "t", b"last", qos=1)
+    assert pub.recv(timeout=client.TIMEOUT) == PubAck(sent)
+    wait_until(lambda: len(got) >= sent + 1)
+    time.sleep(0.2)  # room for a second copy to show up
+    assert sorted(got) == sorted(
+        [seq.to_bytes(4, "big") + BODY for seq in range(sent)] + [b"last"])
 
 
 def test_stop_ends_every_connection():

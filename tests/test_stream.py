@@ -167,6 +167,10 @@ def test_a_send_deadline_covers_the_wait_for_the_send_lock(tcp_pair):
     finally:
         release.set()
         holder.join(timeout=5)
+    # it wrote nothing, so the connection stays open for the lock's holder
+    conn.send(Publish("t", b"y"), timeout=1)
+    peer.settimeout(2)
+    assert peer.recv(64) == encode(Publish("t", b"y"))
 
 
 def test_a_send_with_a_deadline_writes_what_a_blocking_one_does(tcp_pair):
