@@ -62,6 +62,9 @@ from .stream import MAX_PACKET_SIZE, PacketConnection, Server, serve_mqtt
 logger = logging.getLogger(__name__)
 
 _RELOCATIONS_CAP = 4096  # relocation notices a broker keeps
+# the longest admin command in characters, newline included: RELOCATE,
+# a topic of up to 65 535 characters and a host:port
+_ADMIN_LINE_CAP = 65_535 + 512
 
 
 class _Session:
@@ -260,13 +263,17 @@ class EdgeBroker:
     # -- admin channel ------------------------------------------------------
 
     def _serve_admin(self, sock: socket.socket) -> None:
-        """Line protocol: RELOCATE <topic> [host:port], answered OK / ERR."""
+        """Line protocol: RELOCATE <topic> [host:port], answered OK / ERR;
+        a line longer than _ADMIN_LINE_CAP gets ERR and a hang-up."""
         try:
             with sock.makefile("rw", encoding="utf-8", newline="\n") as f:
-                for line in f:
-                    reply = self._admin_command(line.strip())
-                    f.write(reply + "\n")
+                while line := f.readline(_ADMIN_LINE_CAP):
+                    whole = line.endswith("\n") or len(line) < _ADMIN_LINE_CAP
+                    f.write(self._admin_command(line.strip()) + "\n" if whole
+                            else "ERR command too long\n")
                     f.flush()
+                    if not whole:
+                        break
         except OSError:
             pass
 

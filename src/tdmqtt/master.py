@@ -30,7 +30,7 @@ import functools
 import logging
 import threading
 import time
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -47,7 +47,6 @@ from .packets import (
     Reason,
     SubAck,
     Subscribe,
-    matched_topics,
     redirect,
     validate_filters,
 )
@@ -79,70 +78,68 @@ class DiscoveryConfig:
 
 class Topics(frozenset):
     """One broker's topics as a census listed them, sorted once into
-    `ordered` when built, with the topic-table version its CONNACK
-    carried before the census began.  The version is None when the
-    broker sent none or the census ended before its PINGRESP: such a set
-    is never trusted to be complete."""
+    `ordered` when built (a merge hands its order in), with the
+    topic-table version its CONNACK carried before the census began.
+    The version is None when the broker sent none or the census ended
+    before its PINGRESP: such a set is never trusted to be complete."""
 
     __slots__ = ("version", "ordered")
 
-    def __new__(cls, topics, version: str | None = None):
+    def __new__(cls, topics=(), version: str | None = None, *,
+                ordered: list[str] | None = None):
         self = super().__new__(cls, topics)
         self.version = version
-        self.ordered = sorted(self)
+        self.ordered = sorted(self) if ordered is None else ordered
         return self
 
+    @staticmethod
+    def covered(topic_filter: str) -> tuple[str, str | None]:
+        """What a filter covers: the topic it names, and the prefix of the
+        run of `ordered` it adds, None for an exact filter.  'stem/#' names
+        the stem and adds 'stem/...'; '#' names '' (no topic), adds all."""
+        if topic_filter != "#" and not topic_filter.endswith("/#"):
+            return topic_filter, None
+        return topic_filter[:-2], topic_filter[:-1]
+
     def matched(self, topic_filter: str) -> set[str]:
-        """The topics the filter matches, as packets.matched_topics
-        finds them; those of 'stem/#' are the stem and the run of
-        `ordered` from 'stem/' to 'stem0', found by bisection."""
-        if topic_filter == "#" or not topic_filter.endswith("/#"):
-            return matched_topics(topic_filter, self)
-        stem, ordered = topic_filter[:-2], self.ordered
-        found = set(ordered[bisect_left(ordered, stem + "/"):
-                            bisect_left(ordered, stem + "0")])
-        if stem in self:
-            found.add(stem)
+        """The topics the filter covers (packets.matched_topics agrees)."""
+        named, prefix = self.covered(topic_filter)
+        found = {named} & self
+        if prefix is not None:
+            ordered = self.ordered
+            found.update(ordered[bisect_left(ordered, prefix):bisect_right(
+                ordered, prefix, key=lambda topic: topic[:len(prefix)])])
         return found
 
     def replaced(self, matched: set[str], listed: set[str]) -> Topics:
         """These topics less `matched`, plus `listed`, untagged.  The
         order is carried over, not sorted again: the topics that left
-        are deleted from it and the new ones inserted, each found by
-        bisection."""
-        gone = (matched - listed) & self
+        are deleted and the new ones inserted, each by bisection."""
         ordered = list(self.ordered)
-        for topic in gone:
+        for topic in (matched - listed) & self:
             del ordered[bisect_left(ordered, topic)]
         for topic in listed - self:
             insort(ordered, topic)
-        merged = frozenset.__new__(Topics, (self - gone) | listed)
-        merged.version = None
-        merged.ordered = ordered
-        return merged
+        return Topics(ordered, ordered=ordered)
 
 
 @dataclass(frozen=True)
 class Registry:
     """One consistent view of who hosts what.  Never mutated in place.
 
-    Maps each broker to its Topics in address order, 'host:port' string
-    order (127.0.0.10 sorts before 127.0.0.2); a plain set passed in is
-    wrapped in a Topics.  find() returns the first broker hosting a topic
-    the filter matches: an exact filter by set membership, 'stem/#' by
-    the stem's membership or by a bisect of the sorted topics for the
-    first at or after 'stem/', and '#' by any topic.  A census that
-    short-cuts returns the installed Topics itself, so an unchanged
-    broker is never sorted again.
+    Maps each broker to its Topics in 'host:port' string order
+    (127.0.0.10 sorts before 127.0.0.2).  find() returns the first
+    broker hosting a topic the filter covers (Topics.covered), by set
+    membership for the topic it names and by one bisect for its run.
+    A census that short-cuts returns the installed Topics itself, so an
+    unchanged broker is never sorted again.
     """
 
     topics_by_broker: dict[BrokerRef, Topics] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "topics_by_broker", {
-            ref: topics if isinstance(topics, Topics) else Topics(topics)
-            for ref, topics in sorted(self.topics_by_broker.items(),
-                                      key=lambda entry: str(entry[0]))})
+        object.__setattr__(self, "topics_by_broker", dict(sorted(
+            self.topics_by_broker.items(), key=lambda entry: str(entry[0]))))
 
     def brokers(self) -> list[BrokerRef]:
         return list(self.topics_by_broker)
@@ -151,20 +148,16 @@ class Registry:
         return self.topics_by_broker.get(ref, frozenset())
 
     def find(self, topic_filter: str) -> BrokerRef | None:
-        """First broker (by address order) hosting a matching topic."""
-        if topic_filter != "#" and not topic_filter.endswith("/#"):
-            for ref, topics in self.topics_by_broker.items():
-                if topic_filter in topics:
-                    return ref
-            return None
-        # '#' is the prefix '', and 'stem/#' the stem or the prefix 'stem/'
-        stem, prefix = topic_filter[:-2], topic_filter[:-1]
+        """First broker (by address order) hosting a covered topic."""
+        named, prefix = Topics.covered(topic_filter)
         for ref, topics in self.topics_by_broker.items():
-            ordered = topics.ordered
-            at = bisect_left(ordered, prefix)
-            if stem in topics \
-                    or at < len(ordered) and ordered[at].startswith(prefix):
+            if named in topics:
                 return ref
+            if prefix is not None:
+                ordered = topics.ordered
+                at = bisect_left(ordered, prefix)
+                if at < len(ordered) and ordered[at].startswith(prefix):
+                    return ref
         return None
 
     def __len__(self) -> int:
@@ -177,8 +170,8 @@ def broker_discovery(config: DiscoveryConfig) -> list[BrokerRef]:
 
 
 def topic_discovery(ref: BrokerRef, timeout: float, listen_window: float,
-                    installed: frozenset[str] | None = None,
-                    topic_filter: str = "#") -> frozenset[str]:
+                    installed: Topics | None = None,
+                    topic_filter: str = "#") -> Topics:
     """Ask one broker for its topic population.
 
     The CONNACK's topic-table version is read first.  When it equals the
@@ -212,17 +205,15 @@ def topic_discovery(ref: BrokerRef, timeout: float, listen_window: float,
     raises BrokerUnreachable if the broker refuses, breaks the handshake,
     or dies mid-census; a DISCONNECT from the broker just ends it early.
     """
+    kept = Topics() if installed is None else installed
     with exchange(ref, "", timeout, BrokerUnreachable) as conn:
         version = conn.connack.topic_table_version
-        if version is not None \
-                and version == getattr(installed, "version", None):
-            return installed
+        if version is not None and version == kept.version:
+            return kept
         listed, complete = _replay(conn, ref, timeout, listen_window,
                                    topic_filter)
         if topic_filter == "#":
             return Topics(listed, version if complete else None)
-        kept = installed if isinstance(installed, Topics) \
-            else Topics(installed or ())
         return kept.replaced(kept.matched(topic_filter), listed)
 
 
@@ -257,7 +248,7 @@ def _replay(conn: PacketConnection, ref: BrokerRef, timeout: float,
 
 
 def census_sweep(config: DiscoveryConfig, installed: Registry | None = None
-                 ) -> dict[BrokerRef, frozenset[str]]:
+                 ) -> dict[BrokerRef, Topics]:
     """Census every configured address, in parallel on the standing
     census threads.
 
@@ -279,8 +270,8 @@ def census_sweep(config: DiscoveryConfig, installed: Registry | None = None
 
 
 def _census(ref: BrokerRef, config: DiscoveryConfig,
-            installed: frozenset[str] | None, topic_filter: str = "#"
-            ) -> frozenset[str] | None:
+            installed: Topics | None, topic_filter: str = "#"
+            ) -> Topics | None:
     """One broker's topics, or None (logged) if it cannot be censused.
     A failure is a warning, except a refused dial at an address the
     registry did not hold (`installed` None): a gap in the range."""

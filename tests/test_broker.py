@@ -453,6 +453,38 @@ def test_admin_rejects_malformed_commands(make_broker, line, fragment):
     assert not broker._relocations
 
 
+def test_an_over_long_admin_line_gets_err_and_a_hang_up(make_broker):
+    """1 MiB with no newline is answered ERR within 2 s, and the admin
+    channel still serves the next connection."""
+    broker = make_broker(admin=True)
+    with socket.create_connection(broker.admin_address, timeout=2.0) as sock:
+        def flood():
+            with contextlib.suppress(OSError):  # hung up on mid-line
+                sock.sendall(b"RELOCATE " + b"x" * (1 << 20))
+
+        sender = threading.Thread(target=flood)
+        sender.start()
+        reply = b""
+        while not reply.endswith(b"\n"):
+            chunk = sock.recv(256)
+            if not chunk:
+                break
+            reply += chunk
+        sender.join(timeout=2)
+    assert not sender.is_alive()
+    assert reply.startswith(b"ERR") and b"too long" in reply
+    assert not broker._relocations
+    assert admin_command(broker.admin_address, "RELOCATE t") == "OK"
+
+
+def test_the_longest_legal_admin_command_is_served(make_broker):
+    broker = make_broker(admin=True)
+    topic = "t" * 65_535
+    assert admin_command(broker.admin_address,
+                         f"RELOCATE {topic} {'h' * 253}:65535") == "OK"
+    assert topic in broker._relocations
+
+
 def test_every_connack_advertises_the_maximum_packet_size(make_fleet,
                                                           make_master):
     (broker,), port = make_fleet(1)

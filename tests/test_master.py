@@ -374,7 +374,7 @@ def test_topics_matched_agrees_with_matched_topics(topics, filt):
 
 def test_registry_find_prefers_lowest_address():
     r1, r2 = BrokerRef("127.0.0.1", 1883), BrokerRef("127.0.0.2", 1883)
-    reg = Registry({r2: frozenset({"t"}), r1: frozenset({"t"})})
+    reg = Registry({r2: Topics({"t"}), r1: Topics({"t"})})
     assert reg.find("t") == r1
     assert reg.find("missing") is None
     assert reg.find("#") == r1
@@ -382,15 +382,15 @@ def test_registry_find_prefers_lowest_address():
 
 def test_registry_find_matches_wildcards():
     ref = BrokerRef("127.0.0.1", 1883)
-    reg = Registry({ref: frozenset({"room/1/temp"})})
+    reg = Registry({ref: Topics({"room/1/temp"})})
     assert reg.find("room/#") == ref
     assert reg.find("garage/#") is None
 
 
 def test_registry_find_parent_level_and_address_order():
     r1, r2 = BrokerRef("127.0.0.1", 1883), BrokerRef("127.0.0.2", 1883)
-    reg = Registry({r1: frozenset({"ab", "b/a"}), r2: frozenset({"a"}),
-                    BrokerRef("127.0.0.3", 1883): frozenset()})
+    reg = Registry({r1: Topics({"ab", "b/a"}), r2: Topics({"a"}),
+                    BrokerRef("127.0.0.3", 1883): Topics()})
     assert reg.find("a/#") == r2  # '#' covers the parent level "a"
     assert reg.find("a") == r2
     assert reg.find("b/#") == r1
@@ -408,17 +408,21 @@ def linear_find(reg: Registry, filt: str) -> BrokerRef | None:
 
 REFS = [BrokerRef(f"127.0.0.{i}", port) for i in (1, 2, 10) for port in (1883, 1884)]
 SHARED = ["a", "a/b", "a/b/c", "ab", "b/a", "/a", "a/"]
-topics_st = st.frozensets(st.one_of(st.sampled_from(SHARED), name_st),
-                          max_size=6)
+topics_st = st.frozensets(
+    st.one_of(st.sampled_from(SHARED), name_st, edge_topic_st),
+    max_size=6).map(Topics)
 entries_st = st.dictionaries(st.sampled_from(REFS), topics_st,
                              max_size=len(REFS))
 registry_st = entries_st.map(Registry)
 
 
 @settings(max_examples=300)
-@given(registry_st, filter_st)
-@example(Registry({REFS[1]: frozenset({"a"}), REFS[0]: frozenset({"a/b"})}), "a/#")
-@example(Registry({REFS[0]: frozenset(), REFS[1]: frozenset({"b"})}), "#")
+@given(registry_st,
+       st.one_of(filter_st, edge_topic_st, edge_topic_st.map("{}/#".format)))
+@example(Registry({REFS[1]: Topics({"a"}), REFS[0]: Topics({"a/b"})}), "a/#")
+@example(Registry({REFS[0]: Topics(), REFS[1]: Topics({"b"})}), "#")
+@example(Registry({REFS[0]: Topics({"a.b", "a0"}), REFS[1]: Topics({"a/"})}),
+         "a/#")
 def test_registry_find_agrees_with_a_linear_scan(reg, filt):
     assert reg.find(filt) == linear_find(reg, filt)
 
@@ -434,7 +438,7 @@ def test_a_registry_built_on_another_finds_what_a_fresh_one_does(
     if topics is not None:
         edited[ref] = topics
     reused = Registry(edited)
-    fresh = Registry({r: frozenset(t) for r, t in edited.items()})
+    fresh = Registry({r: Topics(t) for r, t in edited.items()})
     for r in edited.keys() - {ref}:
         assert reused.topics_by_broker[r] is before[r]
     hosted = set().union(*edited.values(), *entries.values())
@@ -444,9 +448,9 @@ def test_a_registry_built_on_another_finds_what_a_fresh_one_does(
 
 def test_a_rebuilt_registry_reuses_an_unchanged_brokers_filter_set():
     r1, r2, r3 = REFS[0], REFS[2], REFS[4]
-    old = Registry({r1: frozenset({"a/b"}), r2: frozenset({"c"})})
+    old = Registry({r1: Topics({"a/b"}), r2: Topics({"c"})})
     kept = old.topics_by_broker
-    new = Registry({r1: kept[r1], r2: frozenset({"d"}), r3: frozenset({"c"})})
+    new = Registry({r1: kept[r1], r2: Topics({"d"}), r3: Topics({"c"})})
     assert new.topics_by_broker[r1] is kept[r1]
     assert new.topics_by_broker[r1].ordered is kept[r1].ordered
     assert new.topics_by_broker[r2] is not kept[r2]

@@ -75,7 +75,7 @@ try:
     publish(broker.address, "u", b"v", qos=1)
     counts = rec.state()["counts"]
     merged = master.topic_discovery(broker.address, 2.0, 0.5,
-                                    frozenset({"u"}), "t")
+                                    master.Topics({"u"}), "t")
     assert isinstance(merged, frozenset) and merged == {"t", "u"}, merged
     assert counts["master.census_topics"] == 2, counts
 finally:
