@@ -62,8 +62,8 @@ from .stream import MAX_PACKET_SIZE, PacketConnection, Server, serve_mqtt
 logger = logging.getLogger(__name__)
 
 _RELOCATIONS_CAP = 4096  # relocation notices a broker keeps
-# the longest admin command in characters, newline included: RELOCATE,
-# a topic of up to 65 535 characters and a host:port
+# the longest admin command in bytes, newline included: RELOCATE, a
+# topic of up to 65 535 bytes (MQTT's limit on a string) and a host:port
 _ADMIN_LINE_CAP = 65_535 + 512
 
 
@@ -264,13 +264,18 @@ class EdgeBroker:
 
     def _serve_admin(self, sock: socket.socket) -> None:
         """Line protocol: RELOCATE <topic> [host:port], answered OK / ERR;
-        a line longer than _ADMIN_LINE_CAP gets ERR and a hang-up."""
+        a line longer than _ADMIN_LINE_CAP, or not UTF-8, gets ERR and a
+        hang-up."""
         try:
-            with sock.makefile("rw", encoding="utf-8", newline="\n") as f:
+            with sock.makefile("rwb") as f:
                 while line := f.readline(_ADMIN_LINE_CAP):
-                    whole = line.endswith("\n") or len(line) < _ADMIN_LINE_CAP
-                    f.write(self._admin_command(line.strip()) + "\n" if whole
-                            else "ERR command too long\n")
+                    whole = line.endswith(b"\n") or len(line) < _ADMIN_LINE_CAP
+                    try:
+                        reply = self._admin_command(line.decode().strip()) \
+                            if whole else "ERR command too long"
+                    except UnicodeDecodeError:
+                        reply, whole = "ERR command is not UTF-8", False
+                    f.write(reply.encode() + b"\n")
                     f.flush()
                     if not whole:
                         break

@@ -58,6 +58,7 @@ RESOLVE_ROUNDS = 3     # master answers tried before a dead target is final
 # must stay below it, or a publisher behind a stuck subscriber gives up
 # on a PUBACK that is on its way
 TIMEOUT = 2.0
+KEEPALIVE = 10.0  # seconds of a quiet line before a subscriber pings it
 
 
 def _fresh_id(kind: str) -> str:
@@ -87,7 +88,7 @@ class SubscriberSession:
 
     def __init__(self, master: BrokerRef, topic_filter: str,
                  on_message: Callable[[Publish], None], *,
-                 keepalive: float = 10.0, timeout: float = TIMEOUT):
+                 keepalive: float = KEEPALIVE, timeout: float = TIMEOUT):
         self.master = master
         self.topic_filter = topic_filter
         self.on_message = on_message
@@ -323,7 +324,7 @@ def _pump_sessions(session: SubscriberSession, conn: PacketConnection) -> None:
 
 def transparent_subscribe(master: BrokerRef, topic_filter: str,
                           on_message: Callable[[Publish], None], *,
-                          keepalive: float = 10.0,
+                          keepalive: float = KEEPALIVE,
                           timeout: float = TIMEOUT) -> SubscriberSession:
     """Subscribe knowing only the master and the topic filter; blocks
     as SubscriberSession.open() does."""

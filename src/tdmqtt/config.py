@@ -18,6 +18,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 
+from . import client
 from .errors import ConfigError
 from .evalmodel import ALL_KINDS, EmmaParams, EvalParams, MOBILITY_MODELS, default_sizes
 from .master import DiscoveryConfig
@@ -160,8 +161,8 @@ class BrokerConfig:
 @dataclass(frozen=True)
 class ClientConfig:
     master: BrokerRef = BrokerRef("127.0.0.1", 1884)
-    keepalive_s: float = 10.0
-    timeout_s: float = 2.0
+    keepalive_s: float = client.KEEPALIVE
+    timeout_s: float = client.TIMEOUT
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from .packets import (
     Reason,
     SubAck,
     Subscribe,
+    covered,
     redirect,
     validate_filters,
 )
@@ -92,18 +93,10 @@ class Topics(frozenset):
         self.ordered = sorted(self) if ordered is None else ordered
         return self
 
-    @staticmethod
-    def covered(topic_filter: str) -> tuple[str, str | None]:
-        """What a filter covers: the topic it names, and the prefix of the
-        run of `ordered` it adds, None for an exact filter.  'stem/#' names
-        the stem and adds 'stem/...'; '#' names '' (no topic), adds all."""
-        if topic_filter != "#" and not topic_filter.endswith("/#"):
-            return topic_filter, None
-        return topic_filter[:-2], topic_filter[:-1]
-
     def matched(self, topic_filter: str) -> set[str]:
-        """The topics the filter covers (packets.matched_topics agrees)."""
-        named, prefix = self.covered(topic_filter)
+        """The topics the filter covers (packets.covered): the topic it
+        names, and the run of `ordered` its prefix starts."""
+        named, prefix = covered(topic_filter)
         found = {named} & self
         if prefix is not None:
             ordered = self.ordered
@@ -129,7 +122,7 @@ class Registry:
 
     Maps each broker to its Topics in 'host:port' string order
     (127.0.0.10 sorts before 127.0.0.2).  find() returns the first
-    broker hosting a topic the filter covers (Topics.covered), by set
+    broker hosting a topic the filter covers (packets.covered), by set
     membership for the topic it names and by one bisect for its run.
     A census that short-cuts returns the installed Topics itself, so an
     unchanged broker is never sorted again.
@@ -149,7 +142,7 @@ class Registry:
 
     def find(self, topic_filter: str) -> BrokerRef | None:
         """First broker (by address order) hosting a covered topic."""
-        named, prefix = Topics.covered(topic_filter)
+        named, prefix = covered(topic_filter)
         for ref, topics in self.topics_by_broker.items():
             if named in topics:
                 return ref
@@ -210,41 +203,31 @@ def topic_discovery(ref: BrokerRef, timeout: float, listen_window: float,
         version = conn.connack.topic_table_version
         if version is not None and version == kept.version:
             return kept
-        listed, complete = _replay(conn, ref, timeout, listen_window,
-                                   topic_filter)
-        if topic_filter == "#":
-            return Topics(listed, version if complete else None)
-        return kept.replaced(kept.matched(topic_filter), listed)
-
-
-def _replay(conn: PacketConnection, ref: BrokerRef, timeout: float,
-            listen_window: float, topic_filter: str) -> tuple[set[str], bool]:
-    """The census of topic_discovery, on a connection past CONNACK: the
-    topics the broker replays for one subscription to topic_filter, and
-    whether its PINGRESP came."""
-    conn.send(Subscribe(1, (topic_filter,)), PingReq(), timeout=timeout)
-    suback = conn.recv(timeout=timeout)
-    if not isinstance(suback, SubAck) or suback.reasons[0] != Reason.SUCCESS:
-        raise BrokerUnreachable(f"{ref}: census subscription refused")
-    topics: set[str] = set()
-    while True:
-        try:
-            packet = conn.recv(timeout=listen_window)
-        except TimeoutError:
-            logger.warning("census of %s: no PINGRESP within %gs, "
-                           "keeping %d topic(s)", ref, listen_window,
-                           len(topics))
-            return topics, False
-        if packet is None:
-            raise BrokerUnreachable(f"{ref}: hung up during census")
-        if isinstance(packet, Publish):
-            topics.add(packet.topic)
-            if packet.qos == 1:
-                conn.send(PubAck(packet.packet_id), timeout=timeout)
-        elif isinstance(packet, PingResp):
-            return topics, True
-        elif isinstance(packet, Disconnect):
-            return topics, False
+        conn.send(Subscribe(1, (topic_filter,)), PingReq(), timeout=timeout)
+        suback = conn.recv(timeout=timeout)
+        if not isinstance(suback, SubAck) \
+                or suback.reasons[0] != Reason.SUCCESS:
+            raise BrokerUnreachable(f"{ref}: census subscription refused")
+        listed: set[str] = set()
+        packet = None
+        while not isinstance(packet, (PingResp, Disconnect)):
+            try:
+                packet = conn.recv(timeout=listen_window)
+            except TimeoutError:
+                logger.warning("census of %s: no PINGRESP within %gs, "
+                               "keeping %d topic(s)", ref, listen_window,
+                               len(listed))
+                break
+            if packet is None:
+                raise BrokerUnreachable(f"{ref}: hung up during census")
+            if isinstance(packet, Publish):
+                listed.add(packet.topic)
+                if packet.qos == 1:
+                    conn.send(PubAck(packet.packet_id), timeout=timeout)
+        if topic_filter != "#":
+            return kept.replaced(kept.matched(topic_filter), listed)
+        return Topics(listed, version if isinstance(packet, PingResp)
+                      else None)
 
 
 def census_sweep(config: DiscoveryConfig, installed: Registry | None = None

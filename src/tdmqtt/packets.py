@@ -298,19 +298,26 @@ def matching_filters(name: str) -> list[str]:
     return filters
 
 
+def covered(topic_filter: str) -> tuple[str, str | None]:
+    """What a filter covers, as topic_matches decides: the topic it
+    names, and the prefix of every other topic it matches, None for an
+    exact filter.  'stem/#' names the stem and adds 'stem/...'; '#'
+    names '' (no topic) and adds all."""
+    if topic_filter != "#" and not topic_filter.endswith("/#"):
+        return topic_filter, None
+    return topic_filter[:-2], topic_filter[:-1]
+
+
 def matched_topics(filt: str, topics: Collection[str]) -> set[str]:
-    """The topics the filter matches, as topic_matches decides, found by
-    prefix: 'stem/#' matches the stem itself and every topic that
-    starts with 'stem/', '#' matches them all, and any other filter
-    matches only itself.  No topic is split into levels."""
+    """The topics the filter covers (see covered), found by prefix: no
+    topic is split into levels, and '#' takes them all without a scan."""
     if filt == "#":
         return set(topics)
-    if not filt.endswith("/#"):
-        return {filt} if filt in topics else set()
-    prefix = filt[:-1]  # 'stem/'
-    found = {topic for topic in topics if topic.startswith(prefix)}
-    if prefix[:-1] in topics:
-        found.add(prefix[:-1])
+    named, prefix = covered(filt)
+    found = set() if prefix is None else {
+        topic for topic in topics if topic.startswith(prefix)}
+    if named in topics:
+        found.add(named)
     return found
 
 

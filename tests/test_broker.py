@@ -477,6 +477,20 @@ def test_an_over_long_admin_line_gets_err_and_a_hang_up(make_broker):
     assert admin_command(broker.admin_address, "RELOCATE t") == "OK"
 
 
+def test_an_admin_line_that_is_not_utf8_gets_err_and_a_hang_up(make_broker):
+    """The line before it, sent in the same write, is still served."""
+    broker = make_broker(admin=True)
+    with socket.create_connection(broker.admin_address, timeout=2.0) as sock:
+        sock.sendall(b"RELOCATE a\nRELOCATE \xff\xfe\nRELOCATE b\n")
+        reply = b""
+        while chunk := sock.recv(256):  # to the hang-up
+            reply += chunk
+    ok, err = reply.split(b"\n", 1)
+    assert ok == b"OK" and err.startswith(b"ERR") and err.count(b"\n") == 1
+    assert list(broker._relocations) == ["a"]
+    assert admin_command(broker.admin_address, "RELOCATE t") == "OK"
+
+
 def test_the_longest_legal_admin_command_is_served(make_broker):
     broker = make_broker(admin=True)
     topic = "t" * 65_535

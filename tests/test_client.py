@@ -36,6 +36,7 @@ from tdmqtt.packets import (
     BrokerRef,
     Disconnect,
     MalformedFilter,
+    MalformedPacket,
     PingReq,
     PingResp,
     PubAck,
@@ -549,6 +550,32 @@ def test_a_refused_suback_is_broker_unreachable_and_hangs_up():
             session._attach(peer.address)
         wait_until(lambda: received[-1:] == [None])  # the client hung up
         assert session.broker is None and refused.traceback
+    finally:
+        peer.stop()
+
+
+@pytest.mark.parametrize("answer", [b"\x00\x00", b""],
+                         ids=["not_a_packet", "nothing"])
+def test_an_attach_answered_by_no_suback_is_broker_unreachable(answer):
+    """Bytes that are not a packet, or silence past the timeout, after
+    the CONNACK: BrokerUnreachable, and the client hangs up."""
+    received = []
+
+    def script(conn):
+        received.append(conn.recv(timeout=5))  # the SUBSCRIBE
+        conn._sock.sendall(answer)
+        received.append(conn.recv(timeout=5))
+
+    peer = ScriptedBroker(script)
+    session = SubscriberSession(BrokerRef("127.0.0.1", 1), "t",
+                                lambda packet: None, timeout=0.3)
+    try:
+        with pytest.raises(BrokerUnreachable) as failed:
+            session._attach(peer.address)
+        assert isinstance(failed.value.__cause__,
+                          MalformedPacket if answer else TimeoutError)
+        wait_until(lambda: received[-1:] == [None])  # the client hung up
+        assert session.broker is None
     finally:
         peer.stop()
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from tdmqtt import client
 from tdmqtt.config import (
     Config,
     MAX_RANGE,
@@ -78,6 +79,8 @@ def test_defaults_without_file():
     assert config.master.timeout == 0.25
     assert config.broker.listen == BrokerRef("0.0.0.0", 1883)
     assert config.client.master == BrokerRef("127.0.0.1", 1884)
+    assert config.client.timeout_s == client.TIMEOUT
+    assert config.client.keepalive_s == client.KEEPALIVE
     assert config.eval.params.n_brokers == 4
 
 

@@ -288,6 +288,31 @@ def test_a_census_cut_short_is_replayed_next_time(ending):
     assert len(subscribes) == 2
 
 
+def test_a_census_whose_broker_hangs_up_before_its_pingresp_drops_it(caplog):
+    """A broker that sends its SUBACK and a message, then hangs up with
+    the PINGREQ read and unanswered: the census raises, and a sweep drops
+    that broker with a warning."""
+
+    def hang_up(conn):
+        sub = conn.recv(timeout=5)
+        conn.send(SubAck(sub.packet_id, (Reason.SUCCESS,)),
+                  Publish("t", b"x", retain=True))
+        assert conn.recv(timeout=5) == PingReq()
+
+    peer = ScriptedBroker(hang_up)
+    try:
+        with pytest.raises(BrokerUnreachable, match="hung up during census"):
+            topic_discovery(peer.address, 0.5, 0.3)
+        config = DiscoveryConfig(addresses=(peer.address.host,),
+                                 broker_port=peer.address.port)
+        assert master_module.census_sweep(config) == {}
+    finally:
+        peer.stop()
+    assert any(r.levelno == logging.WARNING
+               and "hung up during census" in r.getMessage()
+               for r in caplog.records)
+
+
 CHANGE = st.one_of(
     st.tuples(st.just("publish"), TOPIC_IDS),  # a new topic or an update
     st.tuples(st.just("relocate"), TOPIC_IDS, st.booleans()))

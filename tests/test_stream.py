@@ -12,11 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from helpers import connect, wait_until
+from helpers import ScriptedBroker, connect, wait_until
 from tdmqtt import stream
 from tdmqtt.broker import EdgeBroker
 from tdmqtt.errors import ConnectionClosed, SendTimedOut
-from tdmqtt.packets import BrokerRef, MalformedPacket, Publish, encode, encode_varint
+from tdmqtt.packets import (
+    BrokerRef,
+    ConnAck,
+    MalformedPacket,
+    Publish,
+    encode,
+    encode_varint,
+)
 from tdmqtt.stream import MAX_PACKET_SIZE, PacketConnection, dial, exchange
 
 
@@ -200,6 +207,32 @@ print(broker.address.port, flush=True)
 sys.stdin.read()  # serve until the parent closes stdin
 broker.stop()
 """
+
+
+def test_a_peer_that_closes_mid_packet_is_connection_closed():
+    def half_a_publish(conn):
+        conn._sock.sendall(encode(Publish("t", bytes(16)))[:8])
+
+    peer = ScriptedBroker(half_a_publish)
+    conn = dial(peer.address, "", 2.0, ConnectionError)
+    try:
+        with pytest.raises(ConnectionClosed, match="closed mid-packet"):
+            conn.recv(timeout=2)
+    finally:
+        conn.close()
+        peer.stop()
+
+
+def test_a_connack_with_a_failure_reason_is_unreachable_and_hangs_up():
+    received = []
+    peer = ScriptedBroker(lambda conn: received.append(conn.recv(timeout=5)),
+                          connack=ConnAck(0x87))  # Not authorized
+    try:
+        with pytest.raises(ConnectionError, match="rejected connect"):
+            dial(peer.address, "", 2.0, ConnectionError)
+        wait_until(lambda: received == [None])  # the client hung up
+    finally:
+        peer.stop()
 
 
 def test_a_server_out_of_descriptors_accepts_again_once_some_close():

@@ -90,7 +90,12 @@ def test_matching_filters_has_levels_plus_two_distinct_entries(name):
 @example("/#", frozenset({"/", "", "/a", "a", "a/"}))
 @example("a//#", frozenset({"a/", "a//", "a//b", "a/b", "a"}))
 @example("a/b/#", frozenset({"a/b", "a/b/c", "a/bc", "a"}))  # stem is a topic
+# topics that sort just before and after '/' around the stem
+@example("a/#", frozenset({"a", "a.b", "a/", "a/b", "a0"}))
+@example("a.0/#", frozenset({"a.", "a.0", "a.0.", "a.0/", "a.0/a", "a.00"}))
+@example("a", frozenset({"a", "a.", "a/", "a0"}))
 def test_matched_topics_are_those_topic_matches_accepts(filt, topics):
+    """packets.covered, through matched_topics, against topic_matches."""
     expected = {t for t in topics if topic_matches(filt, t)}
     assert matched_topics(filt, topics) == expected
     assert matched_topics(filt, dict.fromkeys(topics)) == expected
