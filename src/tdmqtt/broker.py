@@ -9,8 +9,8 @@ ACCEPTED.
 
 Every publish updates the per-topic message table regardless of the
 retain flag, so a later subscribe replays the latest message of each
-matching topic.  That replay is what lets a wildcard subscriber
-enumerate the broker's whole topic population.
+matching topic once, in topic order.  That replay is what lets a
+wildcard subscriber enumerate the broker's whole topic population.
 
 Routing is indexed by filter: a publish looks up the few filters that
 can match its topic (packets.matching_filters) instead of testing every
@@ -37,6 +37,8 @@ import logging
 import os
 import socket
 import threading
+from bisect import bisect_left, insort
+from heapq import merge
 
 from .packets import (
     BrokerRef,
@@ -49,7 +51,7 @@ from .packets import (
     Reason,
     SubAck,
     Subscribe,
-    matched_topics,
+    matched,
     matching_filters,
     redirect,
     validate_filters,
@@ -95,6 +97,7 @@ class EdgeBroker:
         self._sessions: dict[str, _Session] = {}
         self._subscribers: dict[str, set[_Session]] = {}  # filter -> sessions
         self._messages: dict[str, tuple[bytes, int]] = {}  # topic -> last message
+        self._ordered: list[str] = []  # the topics of _messages, sorted
         self._relocations: dict[str, Disconnect] = {}  # topic -> its notice
         self._table_token = os.urandom(8).hex()
         self._table_changes = 0  # topics _messages gained or lost
@@ -127,7 +130,7 @@ class EdgeBroker:
 
     def topics(self) -> list[str]:
         with self._lock:
-            return sorted(self._messages)
+            return list(self._ordered)
 
     # -- sessions -----------------------------------------------------------
 
@@ -197,9 +200,10 @@ class EdgeBroker:
                 for filt in accepted:
                     session.filters.add(filt)
                     self._subscribers.setdefault(filt, set()).add(session)
-                replay = set().union(*(matched_topics(f, self._messages)
-                                       for f in accepted))
-                snapshot = [(t, *self._messages[t]) for t in sorted(replay)]
+                runs = [matched(self._ordered, f) for f in accepted]
+                replay = runs[0] if len(runs) == 1 else [  # each topic once
+                    topic for topic, _ in itertools.groupby(merge(*runs))]
+                snapshot = [(t, *self._messages[t]) for t in replay]
                 notice = next((self._relocations[f] for f in accepted
                                if f in self._relocations), None)
             # a failed send drops the rest of the replay
@@ -217,6 +221,7 @@ class EdgeBroker:
             if notice is None:
                 if pub.topic not in self._messages:
                     self._table_changes += 1
+                    insort(self._ordered, pub.topic)
                 self._messages[pub.topic] = (pub.payload, pub.qos)
                 receivers = self._receivers(pub.topic)
                 receivers.discard(session)
@@ -253,6 +258,7 @@ class EdgeBroker:
                 del self._relocations[next(iter(self._relocations))]
             if self._messages.pop(topic, None) is not None:
                 self._table_changes += 1
+                del self._ordered[bisect_left(self._ordered, topic)]
             affected = self._receivers(topic)
         logger.info("topic %r relocated to %s; notifying %d subscriber(s)",
                     topic, target or "unknown", len(affected))

@@ -169,7 +169,7 @@ def cmd_pub(args, config: Config) -> int:
 
 def cmd_discover(args, config: Config) -> int:
     for ref, topics in census_sweep(config.master).items():
-        sys.stdout.write(f"{ref}\t{','.join(sorted(topics))}\n")
+        sys.stdout.write(f"{ref}\t{','.join(topics.ordered)}\n")
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ import functools
 import logging
 import threading
 import time
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -48,6 +48,7 @@ from .packets import (
     SubAck,
     Subscribe,
     covered,
+    matched,
     redirect,
     validate_filters,
 )
@@ -93,23 +94,16 @@ class Topics(frozenset):
         self.ordered = sorted(self) if ordered is None else ordered
         return self
 
-    def matched(self, topic_filter: str) -> set[str]:
-        """The topics the filter covers (packets.covered): the topic it
-        names, and the run of `ordered` its prefix starts."""
-        named, prefix = covered(topic_filter)
-        found = {named} & self
-        if prefix is not None:
-            ordered = self.ordered
-            found.update(ordered[bisect_left(ordered, prefix):bisect_right(
-                ordered, prefix, key=lambda topic: topic[:len(prefix)])])
-        return found
+    def matched(self, topic_filter: str) -> list[str]:
+        """The topics the filter covers, in order (packets.matched)."""
+        return matched(self.ordered, topic_filter)
 
-    def replaced(self, matched: set[str], listed: set[str]) -> Topics:
+    def replaced(self, matched: list[str], listed: set[str]) -> Topics:
         """These topics less `matched`, plus `listed`, untagged.  The
         order is carried over, not sorted again: the topics that left
         are deleted and the new ones inserted, each by bisection."""
         ordered = list(self.ordered)
-        for topic in (matched - listed) & self:
+        for topic in self.intersection(matched) - listed:
             del ordered[bisect_left(ordered, topic)]
         for topic in listed - self:
             insort(ordered, topic)
@@ -142,14 +136,13 @@ class Registry:
 
     def find(self, topic_filter: str) -> BrokerRef | None:
         """First broker (by address order) hosting a covered topic."""
-        named, prefix = covered(topic_filter)
+        named, prefix, end = covered(topic_filter)
         for ref, topics in self.topics_by_broker.items():
             if named in topics:
                 return ref
             if prefix is not None:
-                ordered = topics.ordered
-                at = bisect_left(ordered, prefix)
-                if at < len(ordered) and ordered[at].startswith(prefix):
+                at = bisect_left(topics.ordered, prefix)
+                if at < len(topics) and (end is None or topics.ordered[at] < end):
                     return ref
         return None
 

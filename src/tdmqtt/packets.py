@@ -21,8 +21,8 @@ pure and reentrant; packet values are immutable.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Collection
 
 PROTOCOL_LEVEL = 5
 
@@ -298,26 +298,26 @@ def matching_filters(name: str) -> list[str]:
     return filters
 
 
-def covered(topic_filter: str) -> tuple[str, str | None]:
-    """What a filter covers, as topic_matches decides: the topic it
-    names, and the prefix of every other topic it matches, None for an
-    exact filter.  'stem/#' names the stem and adds 'stem/...'; '#'
-    names '' (no topic) and adds all."""
+def covered(topic_filter: str) -> tuple[str, str | None, str | None]:
+    """What a filter covers, as topic_matches decides: the topic it names,
+    and the sorted run of the others, from a prefix up to an end (both
+    None for an exact filter).  'stem/#' names the stem and runs from
+    'stem/' to before 'stem0' ('0' follows '/'); '#' from '' with no end."""
     if topic_filter != "#" and not topic_filter.endswith("/#"):
-        return topic_filter, None
-    return topic_filter[:-2], topic_filter[:-1]
+        return topic_filter, None, None
+    stem = topic_filter[:-2]
+    return stem, topic_filter[:-1], None if topic_filter == "#" else stem + "0"
 
 
-def matched_topics(filt: str, topics: Collection[str]) -> set[str]:
-    """The topics the filter covers (see covered), found by prefix: no
-    topic is split into levels, and '#' takes them all without a scan."""
-    if filt == "#":
-        return set(topics)
-    named, prefix = covered(filt)
-    found = set() if prefix is None else {
-        topic for topic in topics if topic.startswith(prefix)}
-    if named in topics:
-        found.add(named)
+def matched(ordered: list[str], topic_filter: str) -> list[str]:
+    """The topics of a sorted list that the filter covers (see covered),
+    in order: the topic it names, then its run, each found by bisection."""
+    named, prefix, end = covered(topic_filter)
+    at = bisect_left(ordered, named)
+    found = [named] if at < len(ordered) and ordered[at] == named else []
+    if prefix is not None:  # '#' names '', which its run may hold too
+        lo = bisect_left(ordered, prefix, at + len(found))
+        found += ordered[lo:None if end is None else bisect_left(ordered, end, lo)]
     return found
 
 

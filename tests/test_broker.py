@@ -14,7 +14,7 @@ from tdmqtt import broker as broker_module, client, stream
 from tdmqtt.broker import EdgeBroker
 from tdmqtt.client import publish
 from tdmqtt.errors import BrokerUnreachable, ConnectionClosed, Redirected
-from tdmqtt.master import topic_discovery
+from tdmqtt.master import Topics, topic_discovery
 from tdmqtt.packets import (
     BrokerRef,
     ConnAck,
@@ -28,6 +28,7 @@ from tdmqtt.packets import (
     SubAck,
     Subscribe,
     encode_varint,
+    topic_matches,
 )
 from tdmqtt.stream import MAX_PACKET_SIZE, PacketConnection, dial, open_connection
 
@@ -98,6 +99,19 @@ def test_replay_deduplicates_across_overlapping_filters(broker):
     subscribe(sub, "a/#", "a/b", "#")
     replays = drain(sub, 0.3)
     assert replays == [Publish("a/b", b"v", retain=True)]
+
+
+def test_replay_over_overlapping_filters_sends_each_topic_once_in_order(
+        broker):
+    """Topics that sort on either side of '/' around the stem 'a', under
+    three filters that overlap: one copy each, in topic order."""
+    topics = ("b", "a/b/c", "a0", "a", "a/b", "a.x")
+    for topic in topics:
+        publish(broker.address, topic, topic.encode())
+    sub = connect(broker.address, "sub")
+    subscribe(sub, "a/#", "a/b", "#")
+    assert drain(sub, 0.3) == [Publish(topic, topic.encode(), retain=True)
+                               for topic in sorted(topics)]
 
 
 def test_bad_filter_gets_per_filter_reason(broker):
@@ -396,6 +410,53 @@ def test_the_relocation_table_drops_its_oldest_notice_at_the_cap(
     with pytest.raises(Redirected):
         publish(broker.address, "t1", b"v", qos=1)
     assert broker.topics() == ["t0", "t2"]
+
+
+# Steps on topics in and just outside the run of 's/#': publish a topic,
+# or relocate it to TARGET, to nowhere, or to the broker's own address.
+TABLE_STEPS = {
+    "publishes": [("publish", "s/b/c"), ("publish", "s"), ("publish", "s/a"),
+                  ("publish", "s/a"), ("publish", "s.x"), ("publish", "s0"),
+                  ("publish", "s/b/c"), ("publish", "t/1")],
+    "relocations": [("publish", "s/a"), ("publish", "s/b"), ("publish", "s0"),
+                    ("publish", "s"), ("relocate", "s/a", "target"),
+                    ("relocate", "s0", "nowhere"), ("relocate", "s/b", "self"),
+                    ("publish", "s/a"), ("relocate", "s/a", "self"),
+                    ("publish", "s/a"), ("relocate", "s", "target"),
+                    ("relocate", "s/b", "nowhere")],
+    "never-published": [("relocate", "s/x", "target"),
+                        ("relocate", "s/y", "nowhere"),
+                        ("relocate", "s/z", "self"), ("publish", "s/z"),
+                        ("publish", "s/x"), ("publish", "s.x")],
+}
+
+
+@pytest.mark.parametrize("steps", TABLE_STEPS.values(), ids=TABLE_STEPS)
+def test_the_sorted_topic_table_stays_in_step_with_the_messages(broker,
+                                                                 steps):
+    """After every step, topics() and a '#' and an 's/#' census list
+    exactly the topics the broker hosts.  A topic relocated away refuses
+    publishes; one relocated to this broker is accepted again."""
+    hosted: set[str] = set()
+    moved: set[str] = set()
+    for kind, topic, *where in steps:
+        if kind == "publish" and topic in moved:
+            with pytest.raises(Redirected):
+                publish(broker.address, topic, b"v", qos=1)
+        elif kind == "publish":
+            publish(broker.address, topic, b"v", qos=1)
+            hosted.add(topic)
+        elif where == ["self"]:
+            broker.relocate_topic(topic, broker.address)
+            moved.discard(topic)
+        else:
+            broker.relocate_topic(topic, TARGET if where == ["target"] else None)
+            moved.add(topic)
+            hosted.discard(topic)
+        assert broker.topics() == sorted(hosted) == sorted(broker._messages)
+        assert topic_discovery(broker.address, 2.0, 0.5) == hosted
+        assert topic_discovery(broker.address, 2.0, 0.5, Topics(), "s/#") \
+            == {t for t in hosted if topic_matches("s/#", t)}
 
 
 # --- admin channel -----------------------------------------------------------
