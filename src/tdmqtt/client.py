@@ -14,11 +14,13 @@ from __future__ import annotations
 import enum
 import itertools
 import logging
+import math
 import os
 import queue
 import threading
 import time
-from typing import Callable, TypeVar
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, TypeVar
 
 from .errors import (
     BrokerUnreachable,
@@ -59,6 +61,7 @@ RESOLVE_ROUNDS = 3     # master answers tried before a dead target is final
 # on a PUBACK that is on its way
 TIMEOUT = 2.0
 KEEPALIVE = 10.0  # seconds of a quiet line before a subscriber pings it
+KEEPALIVE_MAX = 0xFFFF  # the most a CONNECT's Keep Alive field holds
 
 
 def _fresh_id(kind: str) -> str:
@@ -71,6 +74,15 @@ class SessionState(enum.Enum):
     SUBSCRIBED = "subscribed"
     RECONNECTING = "reconnecting"
     CLOSED = "closed"
+
+
+@dataclass(eq=False)
+class _Attachment:
+    """One connection of a session to the broker it subscribed at."""
+    conn: PacketConnection
+    broker: BrokerRef
+    at: float = field(default_factory=time.monotonic)
+    left: set[BrokerRef] = field(default_factory=set)  # moved off since a message
 
 
 class SubscriberSession:
@@ -93,22 +105,27 @@ class SubscriberSession:
         self.topic_filter = topic_filter
         self.on_message = on_message
         self.client_id = _fresh_id("sub")
+        if not 0 < keepalive <= KEEPALIVE_MAX:  # sent rounded up, as 1..MAX
+            raise ValueError(f"keepalive not in (0, {KEEPALIVE_MAX}]: {keepalive}")
         self.keepalive = keepalive
         self.timeout = timeout
         self.state = SessionState.RESOLVING
         self.error: Exception | None = None
-        self.broker: BrokerRef | None = None
         self._history: list[tuple[float, str, str]] = []
         self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._conn: PacketConnection | None = None
+        self._attachment: _Attachment | None = None  # the current or last one
         self._thread: threading.Thread | None = None
         self._ended = threading.Event()  # _run returned, its pump moved on
-        self._attached_at = 0.0
         self._backoff = BACKOFF_FIRST
-        self._left: set[BrokerRef] = set()  # moved off since the last message
 
     # -- public surface ------------------------------------------------------
+
+    @property
+    def broker(self) -> BrokerRef | None:
+        """The broker of the current or last attachment; None before the
+        first one and while the master is asked."""
+        return None if (last := self._attachment) is None else last.broker
 
     def events(self) -> list[tuple[str, str]]:
         with self._lock:
@@ -127,8 +144,7 @@ class SubscriberSession:
         background.
         """
         validate_filter(self.topic_filter)
-        conn = _until_reachable(self._resolve, self._attach)
-        self._start_thread(conn)
+        self._start_thread(_until_reachable(self._resolve, self._attach))
         return self
 
     def wait(self, timeout: float | None = None) -> bool:
@@ -137,10 +153,8 @@ class SubscriberSession:
 
     def close(self) -> None:
         self._stop.set()
-        with self._lock:
-            conn = self._conn
-        if conn is not None:
-            conn.close()
+        if (last := self._attachment) is not None:
+            last.conn.close()
         if self._thread is not None and self._thread is not threading.current_thread():
             self._ended.wait(timeout=5)
         self.state = SessionState.CLOSED
@@ -150,10 +164,6 @@ class SubscriberSession:
     def _note(self, kind: str, detail: str = "") -> None:
         with self._lock:
             self._history.append((time.monotonic(), kind, detail))
-
-    def _set_conn(self, conn: PacketConnection | None) -> None:
-        with self._lock:
-            self._conn = conn
 
     # -- master conversation ---------------------------------------------------
 
@@ -167,10 +177,10 @@ class SubscriberSession:
 
     # -- edge broker conversation ------------------------------------------------
 
-    def _attach(self, ref: BrokerRef) -> PacketConnection:
-        """Connect and subscribe at the broker the master named."""
+    def _attach(self, ref: BrokerRef, left: Iterable[BrokerRef] = ()) -> _Attachment:
+        """Connect and subscribe at ref: the session's next attachment."""
         conn = dial(ref, self.client_id, self.timeout, BrokerUnreachable,
-                    keep_alive=int(self.keepalive),
+                    keep_alive=math.ceil(self.keepalive),
                     requests=(Subscribe(1, (self.topic_filter,)),))
         try:
             suback = conn.recv(timeout=self.timeout)
@@ -183,37 +193,31 @@ class SubscriberSession:
         except BaseException:
             conn.close()
             raise
-        self.broker = ref
+        self._attachment = attachment = _Attachment(conn, ref, left=set(left))
         self.state = SessionState.SUBSCRIBED
-        self._attached_at = time.monotonic()
         self._note("attach", str(ref))
-        return conn
+        return attachment
 
     # -- the session thread ----------------------------------------------------
 
-    def _run(self, conn: PacketConnection) -> None:
-        while not self._stop.is_set():
-            try:
-                conn = self._reattach(self._pump(conn))
-            except NoSuchTopic as exc:
-                self.error = exc
-                self._note("closed", "topic gone")
-                break
-            except Exception as exc:  # pragma: no cover - safety net
-                if self._stop.is_set():
-                    break
+    def _run(self, attachment: _Attachment) -> None:
+        try:
+            while not self._stop.is_set():
+                attachment = self._reattach(attachment, self._pump(attachment))
+        except NoSuchTopic as exc:
+            self.error = exc
+            self._note("closed", "topic gone")
+        except Exception as exc:  # close() ends a run here too
+            if not self._stop.is_set():
                 logger.exception("subscriber session died")
                 self.error = exc
-                break
-        self._set_conn(None)
-        conn.close()  # _pump closed it, unless close() came before the pump
+        attachment.conn.close()  # _pump closed it, unless close() came first
         self.state = SessionState.CLOSED
 
-    def _pump(self, conn: PacketConnection) -> BrokerRef | None:
+    def _pump(self, attachment: _Attachment) -> BrokerRef | None:
         """Serve one attachment until it ends; returns the broker its
         closing DISCONNECT names, or None (no name, or the line was lost)."""
-        self._set_conn(conn)
-        delivered = False
+        conn, delivered = attachment.conn, False
         try:
             while not self._stop.is_set():
                 try:
@@ -230,75 +234,76 @@ class SubscriberSession:
                                   timeout=self.timeout)
                     if not delivered:
                         self._note("message", packet.topic)
-                        self._left.clear()
+                        attachment.left.clear()
                         delivered = True
                     self.on_message(packet)
                 elif isinstance(packet, Disconnect):
                     # a target, or shutdown / unknown destination / odd reason
                     self._note("moved", str(packet.server_reference or ""))
-                    self._left.add(self.broker)
+                    attachment.left.add(attachment.broker)
                     return packet.server_reference
                 # PingResp and stray acks just prove liveness
         except PEER_FAILURES as exc:
             if self._stop.is_set():
                 raise ConnectionClosed("session closed") from exc
-            self._note("lost", str(self.broker or ""))
+            self._note("lost", str(attachment.broker))
             logger.info("broker %s unresponsive (%s); re-resolving",
-                        self.broker, exc)
+                        attachment.broker, exc)
             return None
         finally:
-            self._set_conn(None)
             conn.close()
         raise ConnectionClosed("session closed")
 
-    def _reattach(self, target: BrokerRef | None) -> PacketConnection:
-        """The next connection after an attachment ended: the named
-        target, else the master's answer, asked for until one works or
-        the topic is gone.  A target that moved this session away since
-        its last message is not followed: a topic moved back would loop.
-        An attachment that bounced straight back pauses first, so a
-        lagging directory cannot turn into a reconnect storm.
+    def _reattach(self, ended: _Attachment,
+                  target: BrokerRef | None) -> _Attachment:
+        """The next attachment after `ended`: at the named target, else
+        at the master's answer, asked for until one works or the topic
+        is gone.  A target that moved this session away since its last
+        message is not followed: a topic moved back would loop.  An
+        attachment that bounced straight back pauses first, so a lagging
+        directory cannot turn into a reconnect storm.
         """
         self.state = SessionState.RECONNECTING
-        if target in self._left:
+        if target in ended.left:
             logger.info("moved back to %s with no message between; "
                         "asking the master", target)
         elif target is not None:
             try:
-                return self._attach(target)
+                return self._attach(target, ended.left)
             except BrokerUnreachable as exc:
                 logger.info("moved-to broker %s unreachable (%s); "
                             "asking the master", target, exc)
-        self.broker = None
-        pause = time.monotonic() - self._attached_at < QUICK_BOUNCE_S
+        self._attachment = None  # no broker while the master is asked
+        pause = time.monotonic() - ended.at < QUICK_BOUNCE_S
         if not pause:
             self._backoff = BACKOFF_FIRST
         while not self._stop.wait(self._backoff if pause else 0):
             if pause:
                 self._backoff = min(self._backoff * 2, BACKOFF_CAP)
             try:
-                return _until_reachable(self._resolve, self._attach)
+                return _until_reachable(
+                    self._resolve, lambda ref: self._attach(ref, ended.left))
             except (MasterUnreachable, BrokerUnreachable) as exc:
                 logger.info("recovery attempt failed (%s); retrying in %.1fs",
                             exc, self._backoff)
             pause = True
         raise ConnectionClosed("session closed")
 
-    def _start_thread(self, conn: PacketConnection) -> None:
+    def _start_thread(self, attachment: _Attachment) -> None:
         """Run the session on the idle pump, or on a new one."""
         global _idle_pump
         with _idle_lock:
             idle, _idle_pump = _idle_pump, None
         if idle is not None:
             self._thread, jobs = idle
-            jobs.put((self, conn))
+            jobs.put((self, attachment))
             return
         self._thread = threading.Thread(target=_pump_sessions,
-                                        args=(self, conn), daemon=True)
+                                        args=(self, attachment), daemon=True)
         self._thread.start()
 
 
-def _pump_sessions(session: SubscriberSession, conn: PacketConnection) -> None:
+def _pump_sessions(session: SubscriberSession, attached: _Attachment) -> None:
     """A pump thread: run sessions until one ends while another pump
     is idle.  The session is marked ended only after this thread became
     the idle pump, so a sequential open() finds it."""
@@ -308,7 +313,7 @@ def _pump_sessions(session: SubscriberSession, conn: PacketConnection) -> None:
         me.name = f"subscriber-{session.client_id}"
         stay = False
         try:
-            session._run(conn)
+            session._run(attached)
             with _idle_lock:
                 stay = _idle_pump is None
                 if stay:
@@ -318,8 +323,8 @@ def _pump_sessions(session: SubscriberSession, conn: PacketConnection) -> None:
             session._ended.set()
         if not stay:
             return
-        del session, conn  # an idle pump holds on to no session
-        session, conn = jobs.get()
+        del session, attached  # an idle pump holds on to no session
+        session, attached = jobs.get()
 
 
 def transparent_subscribe(master: BrokerRef, topic_filter: str,

@@ -115,14 +115,17 @@ def _number(kind: type = float, low: float = -math.inf, high: float = math.inf):
     return read
 
 
-def _duration(value, name: str) -> float:
+def _duration(value, name: str, most: float = math.inf) -> float:
     """Seconds, from a positive number of milliseconds where the key
-    ends in '_ms', else of seconds."""
+    ends in '_ms', else of seconds; at most `most` seconds."""
     in_ms = name.endswith("_ms")
     if not (_finite(value) and value > 0):
         raise ConfigError(f"{name} must be a positive number of "
                           + ("milliseconds" if in_ms else "seconds"))
-    return value / 1000.0 if in_ms else float(value)
+    seconds = value / 1000.0 if in_ms else float(value)
+    if seconds > most:
+        raise ConfigError(f"{name} must be at most {most:g} seconds")
+    return seconds
 
 
 def _host_port(value, name: str) -> BrokerRef:
@@ -224,7 +227,10 @@ _SECTIONS = {
         else _number(int, 0, 65535)(value, name),
     }),
     "client": _section(ClientConfig, {
-        "master": _host_port, "keepalive_s": _duration, "timeout_s": _duration,
+        "master": _host_port, "timeout_s": _duration,
+        # a CONNECT carries Keep Alive rounded up to whole seconds, in 16 bits
+        "keepalive_s": lambda value, name: _duration(value, name,
+                                                     client.KEEPALIVE_MAX),
     }),
     "eval": _eval,
 }

@@ -206,7 +206,8 @@ def dial(ref: BrokerRef, client_id: str, timeout: float,
     client send before the CONNACK, and no role here refuses a CONNECT.
     The returned connection keeps the CONNACK as `conn.connack`.  On
     refusal, timeout, a broken handshake or a refused CONNECT the
-    connection is closed and `unreachable` is raised.
+    connection is closed and `unreachable` is raised; any other error
+    (a request that cannot be encoded) closes it too and passes.
     """
     conn = None
     try:
@@ -214,10 +215,12 @@ def dial(ref: BrokerRef, client_id: str, timeout: float,
         conn.send(Connect(client_id, keep_alive=keep_alive), *requests,
                   timeout=timeout)
         ack = conn.recv(timeout=timeout)
-    except PEER_FAILURES as exc:
+    except BaseException as exc:
         if conn is not None:
             conn.close()
-        raise unreachable(f"{ref}: {exc}") from exc
+        if isinstance(exc, PEER_FAILURES):
+            raise unreachable(f"{ref}: {exc}") from exc
+        raise
     if not isinstance(ack, ConnAck) or ack.reason != Reason.SUCCESS:
         conn.close()
         raise unreachable(f"{ref}: rejected connect: {ack!r}")

@@ -95,7 +95,8 @@ class ScriptedBroker:
     the CONNECT has arrived too, as from a peer that reads what a client
     sent ahead of the CONNACK before it answers; the script then reads
     that packet first.  Each connection gets its own thread; the
-    connection closes when the script returns or fails.
+    connection closes when the script returns or fails.  `connects`
+    lists the CONNECT packets received, in order.
     """
 
     def __init__(self, script, host: str = "127.0.0.1", port: int = 0,
@@ -109,6 +110,7 @@ class ScriptedBroker:
         self._listener.bind((host, port))
         self._listener.listen(8)
         self._conns = []
+        self.connects = []
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
@@ -139,8 +141,10 @@ class ScriptedBroker:
         conn = PacketConnection(sock)
         self._conns.append(conn)
         try:
-            if not isinstance(conn.recv(timeout=5), Connect):
+            connect = conn.recv(timeout=5)
+            if not isinstance(connect, Connect):
                 return
+            self.connects.append(connect)
             if self._late_connack:
                 request = conn.recv(timeout=5)
                 if request is None:

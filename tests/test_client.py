@@ -336,6 +336,34 @@ def test_close_is_idempotent_and_final(make_fleet, make_master, sink, sessions):
     assert session.events() == events_after
 
 
+def test_the_broker_attached_to_is_still_read_after_close(
+        make_fleet, make_master, sink, sessions):
+    brokers, port = make_fleet(2)
+    publish(brokers[1].address, "kept", b"v")
+    master = make_master(addresses(2), port)
+    session = open_session(sessions, master, "kept", sink)
+    sink.wait(1)
+    session.close()
+    assert session.state is SessionState.CLOSED
+    assert session.broker == brokers[1].address
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: a session attaches to the first "
+                          "home of a filter only")
+def test_a_wildcard_whose_topics_span_brokers_reaches_all_of_them(
+        make_fleet, make_master, sink, sessions):
+    brokers, port = make_fleet(2)
+    publish(brokers[0].address, "site/a", b"a0")
+    publish(brokers[1].address, "site/b", b"b0")
+    master = make_master(addresses(2), port)
+    open_session(sessions, master, "site/#", sink)
+    publish(brokers[0].address, "site/a", b"a1")
+    publish(brokers[1].address, "site/b", b"b1")
+    wait_until(lambda: {b"a0", b"a1", b"b0", b"b1"} <= set(sink.payloads()),
+               timeout=2.0)
+
+
 def test_sequential_sessions_are_pumped_by_one_reused_thread(
         make_fleet, make_master):
     brokers, port = make_fleet(1)
@@ -600,6 +628,31 @@ def test_a_qos1_delivery_is_acknowledged_with_its_packet_id(sink, sessions):
         wait_until(lambda: PubAck(77) in received)
     finally:
         session.close()
+        peer.stop()
+
+
+@pytest.mark.parametrize("keepalive", [0, -1, 65535.5, 70000,
+                                       float("inf"), float("nan")])
+def test_a_keepalive_no_connect_can_carry_is_refused_at_construction(
+        keepalive):
+    """A CONNECT carries Keep Alive rounded up, in 1..65535 s (0 would
+    mean none)."""
+    with pytest.raises(ValueError, match="keepalive"):
+        SubscriberSession(BrokerRef("127.0.0.1", 1), "t",
+                          lambda packet: None, keepalive=keepalive)
+
+
+def test_a_fractional_keepalive_is_sent_rounded_up():
+    peer = ScriptedBroker(lambda conn: None)  # hangs up after the CONNACK
+    try:
+        for keepalive, sent in [(0.4, 1), (2.5, 3), (65535, 65535)]:
+            session = SubscriberSession(BrokerRef("127.0.0.1", 1), "t",
+                                        lambda packet: None,
+                                        keepalive=keepalive, timeout=0.5)
+            with pytest.raises(BrokerUnreachable):
+                session._attach(peer.address)
+            assert peer.connects[-1].keep_alive == sent
+    finally:
         peer.stop()
 
 

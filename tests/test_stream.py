@@ -19,6 +19,7 @@ from tdmqtt.errors import ConnectionClosed, SendTimedOut
 from tdmqtt.packets import (
     BrokerRef,
     ConnAck,
+    InvalidPacket,
     MalformedPacket,
     Publish,
     encode,
@@ -233,6 +234,18 @@ def test_a_connack_with_a_failure_reason_is_unreachable_and_hangs_up():
         wait_until(lambda: received == [None])  # the client hung up
     finally:
         peer.stop()
+
+
+def test_a_connect_that_cannot_be_encoded_closes_the_dialled_socket(
+        monkeypatch):
+    opened, real = [], stream.open_connection
+    monkeypatch.setattr(stream, "open_connection",
+                        lambda *args: opened.append(real(*args)) or opened[-1])
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with pytest.raises(InvalidPacket, match="keep alive"):
+            dial(BrokerRef(*listener.getsockname()[:2]), "", 2.0,
+                 ConnectionError, keep_alive=70000)
+    assert opened[0]._sock.fileno() == -1
 
 
 def test_a_server_out_of_descriptors_accepts_again_once_some_close():
