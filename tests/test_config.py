@@ -212,10 +212,10 @@ def test_client_section_bad_values(write_config, section):
      "timeout_ms must be a positive number of milliseconds"),
     ({"client": {"timeout_s": 0}},
      "timeout_s must be a positive number of seconds"),
-    ({"client": {"keepalive_s": 70000}},  # more than a CONNECT carries
-     "client.keepalive_s must be at most 65535 seconds"),
     ({"eval": {"emma": {"probe_time": True}}},
      "probe_time must be a positive number of seconds"),
+    ({"client": {"keepalive_s": 70000}},  # more than a CONNECT carries
+     "client.keepalive_s must be at most 65535 seconds"),
 ])
 def test_a_bad_duration_names_its_unit(write_config, config, message):
     with pytest.raises(ConfigError, match=message + "$"):
